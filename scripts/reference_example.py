@@ -5,7 +5,7 @@ from qnearest import (
     Mode,
     Role,
     SearchProblem,
-    build_full_circuit,
+    build_circuit,
     classical_nearest,
     decide,
     index_distribution,
@@ -48,7 +48,7 @@ def main() -> None:
     )
     print(f"\nfull-circuit mode deviation: {deviation:.2e}")
     print("\nwire-level circuit:")
-    print(build_full_circuit(full).dump(), end="")
+    print(build_circuit(full).dump(), end="")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .builder import (
     SearchProblem,
     apply_comparison_stage,
     build_circuit,
-    build_full_circuit,
     build_layout,
     comparison_gates,
     copy_gates,
@@ -82,7 +81,6 @@ __all__ = [
     "apply_comparison_stage",
     "apply_controlled",
     "build_circuit",
-    "build_full_circuit",
     "build_layout",
     "classical_nearest",
     "closed_form_generalized",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, InvalidInputError
 from .gates import Gate, fourier, hadamard, pauli_x, rx
@@ -70,21 +71,16 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
         object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "a", validate_instance(self.a, self.b, self.n))
         object.__setattr__(self, "mode", Mode(self.mode))
-        if self.n < 1:
-            raise InvalidInputError(f"bit width must be >= 1, got {self.n}")
-        if not self.a:
-            raise InvalidInputError("array must be nonempty")
-        limit = 1 << self.n
-        for j, v in enumerate(self.a):
-            if not 0 <= v < limit:
-                raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{self.n})")
-        if not 0 <= self.b < limit:
-            raise InvalidInputError(f"b = {self.b} outside [0, 2^{self.n})")
         if self.mode is Mode.PAPER and self.m != 2:
             raise InvalidInputError(f"paper mode requires exactly 2 elements, got {self.m}")
+        if self.n >= self.amplitude_cap.bit_length():
+            # 2^n alone exceeds the cap; state_size() would build a 2^n-bit integer
+            raise CapacityError(
+                f"state needs over 2^{self.n} amplitudes, cap is {self.amplitude_cap}"
+            )
         size = self.state_size()
         if size > self.amplitude_cap:
             raise CapacityError(
@@ -103,6 +99,25 @@ class SearchProblem:
         if uses_score(self):
             size <<= 1
         return size
+
+
+def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
+    """Check that n >= 1, ``a`` is nonempty and every value is n-bit unsigned.
+
+    Returns ``a`` as a tuple of ints. Range tests use ``bit_length`` so a huge
+    n never materializes ``2^n``.
+    """
+    if n < 1:
+        raise InvalidInputError(f"bit width must be >= 1, got {n}")
+    values, b = tuple(int(v) for v in a), int(b)
+    if not values:
+        raise InvalidInputError("array must be nonempty")
+    for j, v in enumerate(values):
+        if not (v >= 0 and v.bit_length() <= n):
+            raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{n})")
+    if not (b >= 0 and b.bit_length() <= n):
+        raise InvalidInputError(f"b = {b} outside [0, 2^{n})")
+    return values
 
 
 def _index_dimension(m: int) -> int:
@@ -212,12 +227,7 @@ def build_layout(problem: SearchProblem) -> RegisterLayout:
     sites.append(Site(Role.INDEX, _index_dimension(m), "index"))
     if uses_score(problem):
         sites.append(Site(Role.SCORE, 2, "score"))
-    layout = RegisterLayout(tuple(sites))
-    if layout.total_dimension > problem.amplitude_cap:
-        raise CapacityError(
-            f"state needs {layout.total_dimension} amplitudes, cap is {problem.amplitude_cap}"
-        )
-    return layout
+    return RegisterLayout(tuple(sites))
 
 
 def _initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
@@ -303,27 +313,21 @@ def build_circuit(problem: SearchProblem) -> Circuit:
     return Circuit(layout, _initial_digits(problem, layout), gates)
 
 
-def build_full_circuit(problem: SearchProblem) -> Circuit:
-    """Wire-level circuit with reference and array registers as quantum wires."""
-    if problem.mode is not Mode.FULL:
-        raise InvalidInputError(f"expected full mode, got {problem.mode.value!r}")
-    return build_circuit(problem)
+def _apply_gates(state: StateVector, gates: Iterable[CircuitGate]) -> StateVector:
+    for cg in gates:
+        state = apply_controlled(state, cg.controls, cg.target, cg.gate.matrix)
+    return state
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
-    state = init_basis_state(circuit.layout, circuit.initial_digits)
-    for cg in circuit.gates:
-        state = apply_controlled(state, cg.controls, cg.target, cg.gate.matrix)
-    return state
+    return _apply_gates(init_basis_state(circuit.layout, circuit.initial_digits), circuit.gates)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
     """State after the loading stage: (1/sqrt(m)) sum_j |a_j> on the copy buffer, |j> on the index."""
     layout = build_layout(problem)
     state = init_basis_state(layout, _initial_digits(problem, layout))
-    for cg in superposition_gates(problem, layout) + copy_gates(problem, layout):
-        state = apply_controlled(state, cg.controls, cg.target, cg.gate.matrix)
-    return state
+    return _apply_gates(state, superposition_gates(problem, layout) + copy_gates(problem, layout))
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:
@@ -331,11 +335,9 @@ def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateV
     layout = build_layout(problem)
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
-    for cg in comparison_gates(problem, layout):
-        state = apply_controlled(state, cg.controls, cg.target, cg.gate.matrix)
-    return state
+    return _apply_gates(state, comparison_gates(problem, layout))
 
 
 def run(problem: SearchProblem) -> StateVector:
-    """Load the superposition, then apply the comparison stage."""
-    return apply_comparison_stage(load_superposition(problem), problem)
+    """Build the whole circuit (superposition, copy, comparison) and execute it."""
+    return execute_circuit(build_circuit(problem))

@@ -5,7 +5,8 @@ names and shortest-round-trip float formatting, so identical flags plus seed
 give byte-identical stdout. Timing goes to stderr to keep it that way.
 
 Exit codes: 0 success, 1 invalid input, 2 internal numeric error (norm
-drift, or the example check failing), 3 capacity exceeded.
+drift, or the example check failing), 3 state exceeds the amplitude cap
+(including a bit width beyond it).
 """
 
 from __future__ import annotations
@@ -34,13 +35,17 @@ EXAMPLE_BASELINE_TOLERANCE = 5e-3
 MODE_AGREEMENT_TOLERANCE = 1e-10
 
 
-class _UsageError(Exception):
-    pass
+# Exit code of each error ``main`` reports on stderr instead of a traceback.
+EXIT_CODES = {
+    InvalidInputError: EXIT_INVALID_INPUT,
+    NormDriftError: EXIT_NUMERIC,
+    CapacityError: EXIT_CAPACITY,
+}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise InvalidInputError(message)
 
 
 @dataclass(frozen=True)
@@ -310,18 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except NormDriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

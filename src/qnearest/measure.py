@@ -12,6 +12,8 @@ from .state import Role, StateVector, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
+# uniforms drawn per call to the PRNG while sampling; bounds sampling memory
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,19 +91,30 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
     The PRNG is NumPy's ``default_rng`` (PCG64) seeded with ``seed``; results
     reproduce across platforms. One uniform per requested shot decides
     post-selection acceptance, then one uniform per surviving shot picks the
-    index by inverse CDF over the probabilities.
+    index by inverse CDF over the probabilities. Uniforms are drawn
+    ``SAMPLE_CHUNK`` at a time, which yields the same stream as one draw, so
+    memory stays bounded for any shot count.
     """
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(int(seed) % (1 << 64))
-    accepted = int(np.count_nonzero(rng.random(shots) < dist.postselect_probability))
+    accepted = sum(
+        int(np.count_nonzero(u < dist.postselect_probability))
+        for u in _uniform_chunks(rng, shots)
+    )
     cdf = np.cumsum(dist.probabilities)
-    draws = np.searchsorted(cdf, rng.random(accepted), side="right")
-    draws = np.minimum(draws, len(cdf) - 1)
-    tallies = np.bincount(draws, minlength=len(cdf))
+    tallies = np.zeros(len(cdf), dtype=np.int64)
+    for u in _uniform_chunks(rng, accepted):
+        draws = np.searchsorted(cdf, u, side="right")
+        tallies += np.bincount(np.minimum(draws, len(cdf) - 1, out=draws), minlength=len(cdf))
     return ShotCounts(
         counts={j: int(c) for j, c in enumerate(tallies)},
         shots=accepted,
         rejected=shots - accepted,
         seed=int(seed),
     )
+
+
+def _uniform_chunks(rng: np.random.Generator, count: int):
+    for start in range(0, count, SAMPLE_CHUNK):
+        yield rng.random(min(SAMPLE_CHUNK, count - start))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import Mode, SearchProblem, run
+from .builder import Mode, SearchProblem, run, validate_instance
 from .errors import InvalidInputError
 from .measure import IndexDistribution, decide, index_distribution
 
@@ -41,21 +41,6 @@ def classical_nearest(a: Sequence[int], b: int) -> OracleReport:
     return OracleReport(tied[0], best, tied)
 
 
-def _validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
-    values = tuple(int(v) for v in a)
-    if not values:
-        raise InvalidInputError("array must be nonempty")
-    if n < 1:
-        raise InvalidInputError(f"bit width must be >= 1, got {n}")
-    limit = 1 << n
-    for j, v in enumerate(values):
-        if not 0 <= v < limit:
-            raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{n})")
-    if not 0 <= int(b) < limit:
-        raise InvalidInputError(f"b = {b} outside [0, 2^{n})")
-    return values
-
-
 def _cos2_half_angles(values: tuple[int, ...], b: int, n: int) -> list[float]:
     # computed from integer distances so equal distances give bit-equal floats
     return [math.cos(math.pi * abs(int(b) - v) / (1 << (n + 1))) ** 2 for v in values]
@@ -67,7 +52,7 @@ def closed_form_paper(a: Sequence[int], b: int, n: int) -> IndexDistribution:
     P(0) = [cos^2(t0/2) + sin^2(t1/2)] / 2 with t_j = pi (b - a_j) / 2^n;
     both terms are even in the angle, so only distances matter.
     """
-    values = _validate_instance(a, b, n)
+    values = validate_instance(a, b, n)
     if len(values) != 2:
         raise InvalidInputError(f"closed form covers exactly 2 elements, got {len(values)}")
     c0, c1 = _cos2_half_angles(values, b, n)
@@ -82,7 +67,7 @@ def closed_form_generalized(a: Sequence[int], b: int, n: int) -> IndexDistributi
     the post-selection probability times m. Every weight is positive because
     |t_j| < pi for n-bit values, so post-selection never starves.
     """
-    values = _validate_instance(a, b, n)
+    values = validate_instance(a, b, n)
     weights = _cos2_half_angles(values, b, n)
     total = sum(weights)
     return IndexDistribution(

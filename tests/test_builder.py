@@ -15,7 +15,7 @@ from qnearest import (
     SearchProblem,
     apply_comparison_stage,
     apply_controlled,
-    build_full_circuit,
+    build_circuit,
     build_layout,
     comparison_gates,
     copy_gates,
@@ -279,13 +279,16 @@ def test_generalized_four_element_distribution_is_frozen():
 
 def test_full_circuit_execution_matches_run():
     problem = SearchProblem(3, (2, 6), 5, Mode.FULL)
-    circuit = build_full_circuit(problem)
+    circuit = build_circuit(problem)
     assert np.max(np.abs(execute_circuit(circuit).amplitudes - run(problem).amplitudes)) <= 1e-15
+    # the public stage functions compose to the same state as the whole circuit
+    staged = apply_comparison_stage(load_superposition(problem), problem)
+    assert np.max(np.abs(execute_circuit(circuit).amplitudes - staged.amplitudes)) <= 1e-15
 
 
 def test_full_circuit_gate_counts():
     problem = SearchProblem(3, (2, 6), 5, Mode.FULL)
-    labels = [cg.gate.label for cg in build_full_circuit(problem).gates]
+    labels = [cg.gate.label for cg in build_circuit(problem).gates]
     assert labels.count("H") == 1
     assert sum(1 for l in labels if l == "X") <= 3 * 2  # one per set element bit
     assert sum(1 for l in labels if l.startswith("RX")) == 3
@@ -293,13 +296,8 @@ def test_full_circuit_gate_counts():
 
 def test_trivial_instance_compiles_to_superposition_only():
     problem = SearchProblem(3, (0, 0), 0, Mode.FULL)
-    circuit = build_full_circuit(problem)
+    circuit = build_circuit(problem)
     assert [cg.gate.label for cg in circuit.gates] == ["H"]
-
-
-def test_build_full_circuit_requires_full_mode():
-    with pytest.raises(InvalidInputError):
-        build_full_circuit(SearchProblem(3, (2, 6), 5, Mode.GENERAL))
 
 
 def test_capacity_errors_fire_before_allocation():
@@ -307,6 +305,16 @@ def test_capacity_errors_fire_before_allocation():
         SearchProblem(8, tuple(range(8)), 1, Mode.FULL)
     with pytest.raises(CapacityError):
         SearchProblem(3, (2, 6), 5, Mode.GENERAL, amplitude_cap=8)
+
+
+@given(instances(max_bits=8, max_m=8), st.sampled_from(list(Mode)))
+def test_state_size_matches_the_layout(instance, mode):
+    n, a, b = instance
+    if mode is Mode.PAPER:
+        a = (a * 2)[:2]
+    # a cap far above any layout here, so every mode is checked at full size
+    problem = SearchProblem(n, a, b, mode, amplitude_cap=1 << 1024)
+    assert problem.state_size() == build_layout(problem).total_dimension
 
 
 def test_problem_validation():
@@ -340,12 +348,10 @@ def test_circuit_dump_is_stable():
         "RX(-0.785398163397) | ref1=0 copy1=1 | index\n"
         "RX(0.392699081699) | ref2=1 copy2=0 | index\n"
     )
-    assert build_full_circuit(problem).dump() == expected
+    assert build_circuit(problem).dump() == expected
 
 
 def test_compiled_circuit_dump_has_no_wire_controls():
-    from qnearest import build_circuit
-
     dump = build_circuit(paper_problem()).dump()
     assert dump.splitlines()[0] == "# sites: copy0:2 copy1:2 copy2:2 index:2"
     assert "ref" not in dump

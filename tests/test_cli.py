@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ def test_capacity_overflow_exits_three(capsys):
     )
     assert code == 3
     assert "amplitudes" in err
+
+
+def test_huge_bit_width_exits_three_without_allocating(capsys):
+    started = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "search", "--bits", "40000000000", "--target", "1", "--array", "1",
+    )
+    assert code == 3
+    assert "amplitudes" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_numeric_failures_exit_two(capsys, monkeypatch):

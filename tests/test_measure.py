@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qnearest import (
     sample,
 )
 from qnearest.errors import InvalidInputError
+from qnearest.measure import SAMPLE_CHUNK
 
 from test_builder import (
     GENERAL_INSTANCE,
@@ -127,3 +129,37 @@ def test_rejections_track_postselect_probability():
 def test_zero_shots_is_rejected():
     with pytest.raises(InvalidInputError):
         sample(IndexDistribution((1.0,)), shots=0)
+
+
+def one_draw_sample(dist, shots, seed):
+    """Reference: every uniform of each phase drawn in one call."""
+    rng = np.random.default_rng(seed)
+    accepted = int(np.count_nonzero(rng.random(shots) < dist.postselect_probability))
+    cdf = np.cumsum(dist.probabilities)
+    draws = np.minimum(np.searchsorted(cdf, rng.random(accepted), side="right"), len(cdf) - 1)
+    return accepted, np.bincount(draws, minlength=len(cdf))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_chunked_sampling_matches_one_draw(seed):
+    shots = 3 * SAMPLE_CHUNK + 7
+    dist = IndexDistribution(GENERAL_P, GENERAL_POSTSELECT)
+    counts = sample(dist, shots, seed)
+    accepted, tallies = one_draw_sample(dist, shots, seed)
+    assert accepted > 2 * SAMPLE_CHUNK  # the index draws span chunks as well
+    assert counts.shots == accepted
+    assert counts.rejected == shots - accepted
+    assert counts.counts == {j: int(c) for j, c in enumerate(tallies)}
+
+
+def test_sampling_memory_is_bounded_by_the_chunk():
+    dist = IndexDistribution(tuple([1 / 16] * 16), 0.7)
+    sample(dist, 100, seed=3)  # NumPy's one-time lazy allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        sample(dist, 16 * SAMPLE_CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one draw of every uniform would need 16 chunks of float64
+    assert peak < 4 * SAMPLE_CHUNK * 8
