@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InvalidInputError
 from .gates import Gate, fourier, hadamard, pauli_x, rx
 from .state import (
@@ -41,8 +43,10 @@ from .state import (
     Role,
     Site,
     StateVector,
-    apply_controlled,
-    init_basis_state,
+    apply_in_place,
+    basis_amplitudes,
+    check_gate_sites,
+    squared_norm,
 )
 
 DEFAULT_AMPLITUDE_CAP = 1 << 26
@@ -175,20 +179,18 @@ class Circuit:
 
     def __post_init__(self) -> None:
         self.layout.flatten(self.initial_digits)  # validates length and ranges
-        nsites = len(self.layout.sites)
+        dims = self.layout.dims
         for cg in self.gates:
-            if not 0 <= cg.target < nsites:
-                raise InvalidInputError(f"gate {cg.gate.label!r}: unknown target {cg.target}")
-            if cg.gate.dimension != self.layout.dims[cg.target]:
+            # the in-place kernel trusts its sites, so every gate is checked once here
+            try:
+                check_gate_sites(dims, cg.controls, cg.target)
+            except InvalidInputError as err:
+                raise InvalidInputError(f"gate {cg.gate.label!r}: {err}") from None
+            if cg.gate.dimension != dims[cg.target]:
                 raise InvalidInputError(
                     f"gate {cg.gate.label!r}: dimension {cg.gate.dimension} does not match "
-                    f"target site dimension {self.layout.dims[cg.target]}"
+                    f"target site dimension {dims[cg.target]}"
                 )
-            for site, digit in cg.controls:
-                if not 0 <= site < nsites or not 0 <= digit < self.layout.dims[site]:
-                    raise InvalidInputError(
-                        f"gate {cg.gate.label!r}: bad control ({site}, {digit})"
-                    )
 
     def dump(self) -> str:
         """Line-oriented text form, stable across runs.
@@ -313,21 +315,29 @@ def build_circuit(problem: SearchProblem) -> Circuit:
     return Circuit(layout, _initial_digits(problem, layout), gates)
 
 
-def _apply_gates(state: StateVector, gates: Iterable[CircuitGate]) -> StateVector:
+def _apply_gates(
+    layout: RegisterLayout, amplitudes: np.ndarray, norm: float, gates: Iterable[CircuitGate]
+) -> StateVector:
+    # one owned buffer, updated in place gate by gate; ``norm`` is its squared norm
+    tensor = amplitudes.reshape(layout.dims)
     for cg in gates:
-        state = apply_controlled(state, cg.controls, cg.target, cg.gate.matrix)
-    return state
+        norm = apply_in_place(tensor, cg.controls, cg.target, cg.gate.matrix, norm)
+    amplitudes.flags.writeable = False
+    return StateVector(layout, amplitudes)
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
-    return _apply_gates(init_basis_state(circuit.layout, circuit.initial_digits), circuit.gates)
+    """Run the circuit on one buffer that starts as its basis state (squared norm 1)."""
+    layout = circuit.layout
+    amplitudes = basis_amplitudes(layout, circuit.initial_digits)
+    return _apply_gates(layout, amplitudes, 1.0, circuit.gates)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
     """State after the loading stage: (1/sqrt(m)) sum_j |a_j> on the copy buffer, |j> on the index."""
     layout = build_layout(problem)
-    state = init_basis_state(layout, _initial_digits(problem, layout))
-    return _apply_gates(state, superposition_gates(problem, layout) + copy_gates(problem, layout))
+    gates = superposition_gates(problem, layout) + copy_gates(problem, layout)
+    return execute_circuit(Circuit(layout, _initial_digits(problem, layout), gates))
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:
@@ -335,7 +345,9 @@ def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateV
     layout = build_layout(problem)
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
-    return _apply_gates(state, comparison_gates(problem, layout))
+    amplitudes = state.amplitudes.copy()
+    gates = comparison_gates(problem, layout)
+    return _apply_gates(layout, amplitudes, squared_norm(amplitudes), gates)
 
 
 def run(problem: SearchProblem) -> StateVector:

@@ -3,11 +3,24 @@
 Amplitude ordering is row-major over the site list: the first site is the
 most significant digit of the flattened index, so a layout with dimensions
 (2, 2, 2, 2) stores the basis state with digits (0, 1, 0, 1) at flat index
-0b0101 = 5. Every operation is value-in/value-out; internal buffers may be
-mutated but inputs never are. The squared norm is checked after each
-state-changing call and a drift beyond ``NORM_TOLERANCE`` raises
-:class:`NormDriftError` instead of renormalizing, so kernel bugs surface
-instead of being papered over.
+0b0101 = 5.
+
+:class:`StateVector` values are immutable, and every public function that
+takes one returns a new value. The gate kernel, :func:`apply_in_place`, is
+the one function that mutates: it updates a caller-owned buffer in place
+and reads and writes only the gate's control-selected block, in pieces of
+bounded size. The circuit loop (``builder.execute_circuit``) owns one
+buffer per run and calls the kernel once per gate; :func:`apply_controlled`
+is one copy followed by the same kernel.
+
+Every gate is norm-checked, block-locally: the kernel keeps a running
+squared norm of the whole buffer, takes off the block's squared norm before
+the gate and adds it back after, and a total farther than
+``NORM_TOLERANCE`` from 1 raises :class:`NormDriftError` instead of
+renormalizing. Drift that builds up over many gates is caught as well as
+drift within one, at the cost of the block, not the state. Unitarity is
+checked where a matrix enters: by :class:`~qnearest.gates.Gate` for circuit
+gates and by :func:`apply_controlled` for raw matrices.
 """
 
 from __future__ import annotations
@@ -22,6 +35,8 @@ from .errors import InvalidInputError, NormDriftError
 
 NORM_TOLERANCE = 1e-10
 APPLY_UNITARY_TOLERANCE = 1e-10
+# largest piece of a gate's block gathered into scratch at once, in amplitudes
+KERNEL_CHUNK = 1 << 15
 
 
 class Role(Enum):
@@ -135,21 +150,32 @@ class StateVector:
             raise InvalidInputError(
                 f"expected {layout.total_dimension} amplitudes, got shape {amps.shape}"
             )
-        _check_norm(amps)
+        _check_norm(squared_norm(amps))
         amps.flags.writeable = False
         return cls(layout, amps)
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:
-    drift = abs(float(np.sum(np.abs(amplitudes) ** 2)) - 1.0)
-    if drift > NORM_TOLERANCE:
+def squared_norm(amplitudes: np.ndarray) -> float:
+    """Sum of ``|amplitude|^2`` over an amplitude buffer."""
+    return float(np.vdot(amplitudes, amplitudes).real)
+
+
+def _check_norm(norm: float) -> None:
+    drift = abs(norm - 1.0)
+    if not drift <= NORM_TOLERANCE:  # also true for NaN
         raise NormDriftError(f"squared norm drifted by {drift:.3e}")
+
+
+def basis_amplitudes(layout: RegisterLayout, digits: Sequence[int]) -> np.ndarray:
+    """Writable flat buffer holding amplitude 1 at the flattened index of ``digits``."""
+    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
+    amps[layout.flatten(digits)] = 1.0
+    return amps
 
 
 def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVector:
     """Basis state with amplitude 1 at the flattened index of ``digits``."""
-    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
-    amps[layout.flatten(digits)] = 1.0
+    amps = basis_amplitudes(layout, digits)
     amps.flags.writeable = False
     return StateVector(layout, amps)
 
@@ -164,12 +190,37 @@ def apply_controlled(
 
     ``controls`` is a sequence of ``(site, required digit)`` pairs; a pair
     with digit 0 is a negative control, so no X-conjugation sandwich is
-    needed. The sub-vector along the target axis is multiplied by ``matrix``
-    exactly in the amplitude groups whose control digits all match, and left
-    untouched elsewhere.
+    needed. Value in, value out: the state's amplitudes are copied once and
+    the copy goes through :func:`apply_in_place`, the kernel the circuit
+    loop uses. Callers pass raw matrices here, so the sites and the
+    matrix's unitarity (to ``APPLY_UNITARY_TOLERANCE``) are checked on
+    every call, and the running norm starts from the input's measured
+    squared norm.
     """
     layout = state.layout
-    nsites = len(layout.sites)
+    check_gate_sites(layout.dims, controls, target)
+    d = layout.dims[target]
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.shape != (d, d):
+        raise InvalidInputError(f"matrix shape {mat.shape} does not match target dimension {d}")
+    defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(d))))
+    if defect > APPLY_UNITARY_TOLERANCE:
+        raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
+    flat = state.amplitudes.copy()
+    apply_in_place(flat.reshape(layout.dims), controls, target, mat, squared_norm(flat))
+    flat.flags.writeable = False
+    return StateVector(layout, flat)
+
+
+def check_gate_sites(
+    dims: Sequence[int], controls: Sequence[tuple[int, int]], target: int
+) -> None:
+    """Reject unknown sites, out-of-range control digits and any site used twice.
+
+    A control on the gate's own target would make :func:`apply_in_place`
+    select the wrong amplitudes instead of failing, so it is rejected here.
+    """
+    nsites = len(dims)
     if not 0 <= target < nsites:
         raise InvalidInputError(f"unknown target site {target}")
     seen = {target}
@@ -179,30 +230,63 @@ def apply_controlled(
         if site in seen:
             raise InvalidInputError(f"site {site} used more than once in controls/target")
         seen.add(site)
-        if not 0 <= digit < layout.dims[site]:
+        if not 0 <= digit < dims[site]:
             raise InvalidInputError(
-                f"control digit {digit} out of range for site {site} (dim {layout.dims[site]})"
+                f"control digit {digit} out of range for site {site} (dim {dims[site]})"
             )
-    d = layout.dims[target]
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (d, d):
-        raise InvalidInputError(f"matrix shape {mat.shape} does not match target dimension {d}")
-    defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(d))))
-    if defect > APPLY_UNITARY_TOLERANCE:
-        raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
 
-    out = state.amplitudes.copy().reshape(layout.dims)
-    selector: list[object] = [slice(None)] * nsites
+
+def apply_in_place(
+    tensor: np.ndarray,
+    controls: Sequence[tuple[int, int]],
+    target: int,
+    matrix: np.ndarray,
+    norm: float,
+) -> float:
+    """Apply ``matrix`` to the target axis of ``tensor`` where all controls match.
+
+    ``tensor`` is a writable amplitude buffer shaped to the layout's dims.
+    Only the control-selected block is read or written, in pieces of at
+    most ``KERNEL_CHUNK`` amplitudes (or d, if larger). Each piece's d
+    target slices are gathered into a ``(d, k)`` scratch array, replaced
+    by their linear combination ``matrix @ slices`` and scattered back; for
+    d = 2 that is one 2x2 combination of the two slices, with no special
+    case for X, where it adds exact zeros.
+
+    ``norm`` is the running squared norm of the whole buffer: each piece's
+    squared norm is taken off before the gate and added back after, and
+    the returned total must stay within ``NORM_TOLERANCE`` of 1, so drift
+    that builds up over many gates is caught as well as drift within one.
+
+    Sites and the matrix are trusted: :class:`~qnearest.builder.Circuit`
+    (or :func:`apply_controlled`) checked the sites, and
+    :class:`~qnearest.gates.Gate` (or :func:`apply_controlled`) checked
+    unitarity.
+    """
+    index: list[slice] = [slice(None)] * tensor.ndim
     for site, digit in controls:
-        selector[site] = digit
-    block = out[tuple(selector)]  # view: integer indexing drops control axes
-    axis = target - sum(1 for site, _ in controls if site < target)
-    moved = np.moveaxis(block, axis, -1)
-    moved[...] = moved @ mat.T
-    flat = out.reshape(-1)
-    _check_norm(flat)
-    flat.flags.writeable = False
-    return StateVector(layout, flat)
+        # a length-1 slice, not an integer, keeps every axis, so the block
+        # is a view with the target at its own axis even when every other
+        # site is a control and the block is a single fibre
+        index[site] = slice(digit, digit + 1)
+    d = matrix.shape[0]
+    moved = tensor[tuple(index)].transpose(
+        [target] + [axis for axis in range(tensor.ndim) if axis != target]
+    )
+    # fix the leading non-target axes until one piece fits in KERNEL_CHUNK
+    rest = moved.shape[1:]
+    lead, size = len(rest), d
+    while lead and size * rest[lead - 1] <= KERNEL_CHUNK:
+        lead -= 1
+        size *= rest[lead]
+    for digits in np.ndindex(*rest[:lead]):
+        piece = moved[(slice(None),) + digits]
+        old = piece.reshape(d, -1)  # a copy unless the piece is contiguous
+        new = matrix @ old
+        norm += float(np.vdot(new, new).real) - float(np.vdot(old, old).real)
+        piece[...] = new.reshape(piece.shape)
+    _check_norm(norm)
+    return norm
 
 
 def marginal_probabilities(

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 
 from conftest import instances
 from qnearest import (
+    Circuit,
+    CircuitGate,
     Mode,
     Role,
     SearchProblem,
@@ -24,6 +26,7 @@ from qnearest import (
     load_superposition,
     marginal_probabilities,
     net_rotation_angle,
+    pauli_x,
     rotation_schedule,
     run,
     rx,
@@ -356,6 +359,19 @@ def test_compiled_circuit_dump_has_no_wire_controls():
     assert dump.splitlines()[0] == "# sites: copy0:2 copy1:2 copy2:2 index:2"
     assert "ref" not in dump
     assert "RX(1.57079632679) | copy0=0 | index" in dump
+
+
+@pytest.mark.parametrize(
+    "controls, target",
+    [(((0, 1),), 0), (((1, 0), (1, 1)), 0), (((2, 1),), 2)],
+    ids=["control-on-own-target", "control-site-twice", "control-on-own-target-last-site"],
+)
+def test_circuit_rejects_a_site_used_twice_when_built(controls, target):
+    # the in-place kernel trusts a circuit's sites; a control on the gate's
+    # own target would silently select the wrong axis, so building fails
+    layout = build_layout(paper_problem())
+    with pytest.raises(InvalidInputError, match="used more than once"):
+        Circuit(layout, (0, 0, 0, 0), (CircuitGate(pauli_x(2), controls, target),))
 
 
 def test_comparison_stage_rejects_foreign_states():
