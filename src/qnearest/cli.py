@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .builder import Mode, SearchProblem, run
 from .errors import CapacityError, InvalidInputError, NormDriftError
-from .measure import ShotCounts, decide, index_distribution, sample
+from .measure import ShotCounts, check_shots, decide, index_distribution, sample
 from .oracle import OracleReport, agreement_sweep, classical_nearest, sweep_table
 
 EXIT_OK = 0
@@ -76,8 +76,8 @@ class SearchResponse:
 
 def run_search(request: SearchRequest) -> SearchResponse:
     """Full pipeline for one request; the API behind the ``search`` command."""
-    if request.shots is not None and request.shots < 1:
-        raise InvalidInputError(f"shots must be >= 1, got {request.shots}")
+    if request.shots is not None:
+        check_shots(request.shots)
     started = time.perf_counter()
     problem = SearchProblem(request.n, request.a, request.b, request.mode)
     dist = index_distribution(run(problem), problem)

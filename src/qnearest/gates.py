@@ -30,7 +30,7 @@ class Gate:
                 f"dimension {self.dimension}"
             )
         defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(self.dimension))))
-        if defect > GATE_UNITARY_TOLERANCE:
+        if not defect <= GATE_UNITARY_TOLERANCE:  # also true for NaN
             raise InvalidInputError(f"gate {self.label!r} is not unitary (defect {defect:.3e})")
         mat = mat.copy()
         mat.flags.writeable = False

@@ -12,8 +12,8 @@ from .state import Role, StateVector, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
-# uniforms drawn per call to the PRNG while sampling; bounds sampling memory
-SAMPLE_CHUNK = 1 << 16
+# the largest count NumPy's binomial draw takes (int64)
+MAX_SHOTS = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,9 @@ class IndexDistribution:
         object.__setattr__(self, "probabilities", probs)
         if not probs:
             raise InvalidInputError("distribution must cover at least one index")
-        if any(p < -1e-12 for p in probs):
-            raise InvalidInputError("negative probability")
-        if abs(sum(probs) - 1.0) > PROBABILITY_SUM_TOLERANCE:
+        if not all(p >= -1e-12 for p in probs):  # also true for NaN
+            raise InvalidInputError("negative or NaN probability")
+        if not abs(sum(probs) - 1.0) <= PROBABILITY_SUM_TOLERANCE:
             raise InvalidInputError(f"probabilities sum to {sum(probs)!r}, not 1")
         if not 0.0 < self.postselect_probability <= 1.0 + 1e-12:
             raise InvalidInputError(
@@ -85,36 +85,32 @@ def decide(dist: IndexDistribution) -> tuple[int, bool]:
     return tied[0], len(tied) > 1
 
 
+def check_shots(shots: int) -> None:
+    """Reject shot counts outside ``[1, MAX_SHOTS]``."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise InvalidInputError(f"shots must be in [1, 2^63 - 1], got {shots}")
+
+
 def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
-    """Deterministic shot sampling.
+    """Deterministic shot counts, drawn as counts rather than shot by shot.
 
     The PRNG is NumPy's ``default_rng`` (PCG64) seeded with ``seed``; results
-    reproduce across platforms. One uniform per requested shot decides
-    post-selection acceptance, then one uniform per surviving shot picks the
-    index by inverse CDF over the probabilities. Uniforms are drawn
-    ``SAMPLE_CHUNK`` at a time, which yields the same stream as one draw, so
-    memory stays bounded for any shot count.
+    reproduce across platforms. One binomial draw gives the number of shots
+    that survive post-selection, and one multinomial draw splits them over
+    the indices. That is the joint law of the per-shot tallies, in O(m) time
+    and memory for any ``shots`` in ``[1, 2^63 - 1]``. The acceptance
+    probability is clamped to 1 and the probabilities clipped at 0 and
+    renormalised, since :class:`IndexDistribution` admits rounding slack
+    that NumPy's draws reject.
     """
-    if shots < 1:
-        raise InvalidInputError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     rng = np.random.default_rng(int(seed) % (1 << 64))
-    accepted = sum(
-        int(np.count_nonzero(u < dist.postselect_probability))
-        for u in _uniform_chunks(rng, shots)
-    )
-    cdf = np.cumsum(dist.probabilities)
-    tallies = np.zeros(len(cdf), dtype=np.int64)
-    for u in _uniform_chunks(rng, accepted):
-        draws = np.searchsorted(cdf, u, side="right")
-        tallies += np.bincount(np.minimum(draws, len(cdf) - 1, out=draws), minlength=len(cdf))
+    accepted = int(rng.binomial(shots, min(dist.postselect_probability, 1.0)))
+    probs = np.clip(dist.probabilities, 0.0, None)
+    tallies = rng.multinomial(accepted, probs / probs.sum())
     return ShotCounts(
         counts={j: int(c) for j, c in enumerate(tallies)},
         shots=accepted,
         rejected=shots - accepted,
         seed=int(seed),
     )
-
-
-def _uniform_chunks(rng: np.random.Generator, count: int):
-    for start in range(0, count, SAMPLE_CHUNK):
-        yield rng.random(min(SAMPLE_CHUNK, count - start))

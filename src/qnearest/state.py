@@ -19,8 +19,9 @@ the gate and adds it back after, and a total farther than
 ``NORM_TOLERANCE`` from 1 raises :class:`NormDriftError` instead of
 renormalizing. Drift that builds up over many gates is caught as well as
 drift within one, at the cost of the block, not the state. Unitarity is
-checked where a matrix enters: by :class:`~qnearest.gates.Gate` for circuit
-gates and by :func:`apply_controlled` for raw matrices.
+checked where a matrix enters, always by :class:`~qnearest.gates.Gate`:
+circuit gates are built as one, and :func:`apply_controlled` wraps its raw
+matrix in one.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NormDriftError
+from .gates import Gate
 
 NORM_TOLERANCE = 1e-10
-APPLY_UNITARY_TOLERANCE = 1e-10
 # largest piece of a gate's block gathered into scratch at once, in amplitudes
 KERNEL_CHUNK = 1 << 15
 
@@ -192,22 +193,16 @@ def apply_controlled(
     with digit 0 is a negative control, so no X-conjugation sandwich is
     needed. Value in, value out: the state's amplitudes are copied once and
     the copy goes through :func:`apply_in_place`, the kernel the circuit
-    loop uses. Callers pass raw matrices here, so the sites and the
-    matrix's unitarity (to ``APPLY_UNITARY_TOLERANCE``) are checked on
-    every call, and the running norm starts from the input's measured
-    squared norm.
+    loop uses. Callers pass raw matrices here, so the sites are checked and
+    the matrix is built into a :class:`~qnearest.gates.Gate` (shape and
+    unitarity) on every call, and the running norm starts from the input's
+    measured squared norm.
     """
     layout = state.layout
     check_gate_sites(layout.dims, controls, target)
-    d = layout.dims[target]
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (d, d):
-        raise InvalidInputError(f"matrix shape {mat.shape} does not match target dimension {d}")
-    defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(d))))
-    if defect > APPLY_UNITARY_TOLERANCE:
-        raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
+    gate = Gate(layout.dims[target], matrix, "matrix")
     flat = state.amplitudes.copy()
-    apply_in_place(flat.reshape(layout.dims), controls, target, mat, squared_norm(flat))
+    apply_in_place(flat.reshape(layout.dims), controls, target, gate.matrix, squared_norm(flat))
     flat.flags.writeable = False
     return StateVector(layout, flat)
 
@@ -260,8 +255,7 @@ def apply_in_place(
 
     Sites and the matrix are trusted: :class:`~qnearest.builder.Circuit`
     (or :func:`apply_controlled`) checked the sites, and
-    :class:`~qnearest.gates.Gate` (or :func:`apply_controlled`) checked
-    unitarity.
+    :class:`~qnearest.gates.Gate` checked unitarity.
     """
     index: list[slice] = [slice(None)] * tensor.ndim
     for site, digit in controls:

@@ -148,6 +148,31 @@ def test_huge_bit_width_exits_three_without_allocating(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_shots_beyond_int64_exit_one_at_once(capsys):
+    started = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "search", "--bits", "3", "--target", "5", "--array", "2,6,5,0",
+        "--shots", "100000000000000000000000000",
+    )
+    assert code == 1
+    assert "shots" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_billions_of_shots_finish_quickly(capsys):
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "search", "--bits", "3", "--target", "5", "--array", "2,6,5,0",
+        "--shots", "3000000000", "--seed", "1",
+    )
+    assert code == 0
+    assert time.perf_counter() - started < 2.0
+    doc = parse_request_document(out)
+    kept = sum(int(pair.split(":")[1]) for pair in doc["counts"].split(","))
+    assert kept + int(doc["rejected"]) == 3_000_000_000
+
+
 def test_numeric_failures_exit_two(capsys, monkeypatch):
     def explode(problem):
         raise NormDriftError("synthetic drift")

@@ -103,6 +103,14 @@ def test_gate_constructor_rejects_non_unitary_matrices():
         Gate(3, np.eye(2), "wrong-shape")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the product
+def test_gate_constructor_rejects_non_finite_entries(bad):
+    # the unitarity defect is NaN here, which a plain `defect > tolerance` passes
+    with pytest.raises(InvalidInputError):
+        Gate(2, np.array([[bad, 0], [0, 1]]), "x")
+
+
 @given(angles)
 def test_comparison_gate_leaves_agreeing_bits_alone(theta):
     mat = comparison_gate(theta).matrix

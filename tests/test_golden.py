@@ -2,8 +2,8 @@
 
 The files were written by ``python -m qnearest <argv> > tests/golden/<name>.out``.
 Any change to a probability digit, a sampled count or the document layout
-shows up here. ``search_shots`` samples more shots than one sampling chunk,
-and more than one chunk of them survive post-selection.
+shows up here. ``search_shots`` pins the counts that one seed's binomial
+(post-selection) and multinomial (index) draws give.
 """
 
 from __future__ import annotations

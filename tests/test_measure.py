@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from qnearest import (
     sample,
 )
 from qnearest.errors import InvalidInputError
-from qnearest.measure import SAMPLE_CHUNK
+from qnearest.measure import MAX_SHOTS
 
 from test_builder import (
     GENERAL_INSTANCE,
@@ -76,6 +77,15 @@ def test_distribution_validation():
         IndexDistribution(())
 
 
+@pytest.mark.parametrize(
+    "probs", [(math.nan, 1.0), (math.nan,), (math.inf, -math.inf)]
+)
+def test_distribution_rejects_non_finite_probabilities(probs):
+    # a NaN would pass plain `<` and `>` range checks and then fail in sampling
+    with pytest.raises(InvalidInputError):
+        IndexDistribution(probs)
+
+
 def test_decide_picks_the_peak():
     assert decide(IndexDistribution(PAPER_P)) == (1, False)
     assert decide(IndexDistribution(GENERAL_P)) == (2, False)
@@ -131,35 +141,58 @@ def test_zero_shots_is_rejected():
         sample(IndexDistribution((1.0,)), shots=0)
 
 
-def one_draw_sample(dist, shots, seed):
-    """Reference: every uniform of each phase drawn in one call."""
-    rng = np.random.default_rng(seed)
-    accepted = int(np.count_nonzero(rng.random(shots) < dist.postselect_probability))
-    cdf = np.cumsum(dist.probabilities)
-    draws = np.minimum(np.searchsorted(cdf, rng.random(accepted), side="right"), len(cdf) - 1)
-    return accepted, np.bincount(draws, minlength=len(cdf))
+@pytest.mark.parametrize("shots", [-1, MAX_SHOTS + 1, 10**26])
+def test_shots_outside_the_int64_range_are_rejected(shots):
+    with pytest.raises(InvalidInputError):
+        sample(IndexDistribution((1.0,)), shots=shots)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_chunked_sampling_matches_one_draw(seed):
-    shots = 3 * SAMPLE_CHUNK + 7
-    dist = IndexDistribution(GENERAL_P, GENERAL_POSTSELECT)
-    counts = sample(dist, shots, seed)
-    accepted, tallies = one_draw_sample(dist, shots, seed)
-    assert accepted > 2 * SAMPLE_CHUNK  # the index draws span chunks as well
-    assert counts.shots == accepted
-    assert counts.rejected == shots - accepted
-    assert counts.counts == {j: int(c) for j, c in enumerate(tallies)}
+def test_the_largest_shot_count_samples():
+    counts = sample(IndexDistribution((0.5, 0.5), 0.7), shots=MAX_SHOTS, seed=5)
+    assert 0 < counts.shots < MAX_SHOTS
+    assert sum(counts.counts.values()) == counts.shots
 
 
-def test_sampling_memory_is_bounded_by_the_chunk():
+@pytest.mark.parametrize(
+    "dist",
+    [
+        IndexDistribution((1.0 + 5e-11, 0.0)),
+        IndexDistribution((1.0 + 5e-13, -5e-13)),
+        IndexDistribution(GENERAL_P, 1.0 + 5e-13),
+    ],
+    ids=["sum-above-one", "negative-entry", "postselect-above-one"],
+)
+def test_count_draws_accept_the_distributions_rounding_slack(dist):
+    # IndexDistribution admits these; NumPy's binomial and multinomial would not
+    counts = sample(dist, shots=10_000, seed=3)
+    assert counts.shots + counts.rejected == 10_000
+    assert sum(counts.counts.values()) == counts.shots
+
+
+def test_sampling_time_and_memory_do_not_grow_with_shots():
     dist = IndexDistribution(tuple([1 / 16] * 16), 0.7)
     sample(dist, 100, seed=3)  # NumPy's one-time lazy allocations stay out of the peak
     tracemalloc.start()
     try:
-        sample(dist, 16 * SAMPLE_CHUNK, seed=3)
+        started = time.perf_counter()
+        sample(dist, 10**12, seed=3)
+        elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one draw of every uniform would need 16 chunks of float64
-    assert peak < 4 * SAMPLE_CHUNK * 8
+    assert elapsed < 1.0
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_counts_at_a_trillion_shots_are_within_six_sigma(seed):
+    # at 10^12 shots 6 sigma is a few 1e-6 of the count, so a bias of about
+    # 1e-5 in either draw fails here
+    shots = 10**12
+    q = GENERAL_POSTSELECT
+    counts = sample(IndexDistribution(GENERAL_P, q), shots, seed)
+    assert abs(counts.shots - shots * q) <= 6 * math.sqrt(shots * q * (1 - q))
+    for j, p in enumerate(GENERAL_P):
+        # unconditionally, index j's count is binomial(shots, q * p)
+        pj = q * p
+        assert abs(counts.counts[j] - shots * pj) <= 6 * math.sqrt(shots * pj * (1 - pj))

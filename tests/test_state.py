@@ -148,6 +148,19 @@ def test_non_unitary_matrix_is_rejected():
         apply_controlled(state, (), 0, np.array([[1, 0], [0, 2]]))
 
 
+@pytest.mark.parametrize(
+    "controls",
+    [(), ((0, 1),)],
+    ids=["no-controls", "zero-amplitude-block"],
+)
+def test_nan_matrix_is_rejected_as_invalid_input(controls):
+    # |00> has no amplitude where site 0 reads 1, so the kernel's norm check
+    # alone would not see that block; the matrix must fail before the kernel
+    state = init_basis_state(make_layout(2, 2), (0, 0))
+    with pytest.raises(InvalidInputError):
+        apply_controlled(state, controls, 1, np.array([[math.nan, 0], [0, 1]]))
+
+
 def test_control_overlapping_target_is_rejected():
     state = init_basis_state(make_layout(2, 2), (0, 0))
     with pytest.raises(InvalidInputError):
