@@ -32,9 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import Sequence
 
 from .errors import CapacityError, InvalidInputError
 from .gates import Gate, fourier, hadamard, pauli_x, rx
@@ -43,9 +42,9 @@ from .state import (
     Role,
     Site,
     StateVector,
-    apply_in_place,
-    basis_amplitudes,
+    apply_gates,
     check_gate_sites,
+    init_basis_state,
     squared_norm,
 )
 
@@ -63,8 +62,10 @@ class SearchProblem:
     """One search instance: find the element of ``a`` nearest to ``b``.
 
     All values are n-bit unsigned integers. ``amplitude_cap`` bounds the
-    simulated state size; exceeding it raises :class:`CapacityError` before
-    anything is allocated.
+    layout's amplitude count, and so the size of a dense
+    ``StateVector.amplitudes``; exceeding it raises :class:`CapacityError`
+    before anything is allocated. A run itself stores only the state's
+    support, at most 2m amplitudes.
     """
 
     n: int
@@ -94,6 +95,11 @@ class SearchProblem:
     @property
     def m(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def layout(self) -> RegisterLayout:
+        """This problem's register layout, built once on first use."""
+        return build_layout(self)
 
     def state_size(self) -> int:
         """Amplitude count of this problem's layout, computed without allocating."""
@@ -181,7 +187,7 @@ class Circuit:
         self.layout.flatten(self.initial_digits)  # validates length and ranges
         dims = self.layout.dims
         for cg in self.gates:
-            # the in-place kernel trusts its sites, so every gate is checked once here
+            # the kernel trusts its sites, so every gate is checked once here
             try:
                 check_gate_sites(dims, cg.controls, cg.target)
             except InvalidInputError as err:
@@ -306,7 +312,7 @@ def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[Ci
 
 def build_circuit(problem: SearchProblem) -> Circuit:
     """Complete circuit for any mode: superposition, copy, then comparison."""
-    layout = build_layout(problem)
+    layout = problem.layout
     gates = (
         superposition_gates(problem, layout)
         + copy_gates(problem, layout)
@@ -315,39 +321,30 @@ def build_circuit(problem: SearchProblem) -> Circuit:
     return Circuit(layout, _initial_digits(problem, layout), gates)
 
 
-def _apply_gates(
-    layout: RegisterLayout, amplitudes: np.ndarray, norm: float, gates: Iterable[CircuitGate]
-) -> StateVector:
-    # one owned buffer, updated in place gate by gate; ``norm`` is its squared norm
-    tensor = amplitudes.reshape(layout.dims)
-    for cg in gates:
-        norm = apply_in_place(tensor, cg.controls, cg.target, cg.gate.matrix, norm)
-    amplitudes.flags.writeable = False
-    return StateVector(layout, amplitudes)
+def _kernel_gates(gates: Sequence[CircuitGate]):
+    return ((cg.controls, cg.target, cg.gate.matrix) for cg in gates)
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
-    """Run the circuit on one buffer that starts as its basis state (squared norm 1)."""
-    layout = circuit.layout
-    amplitudes = basis_amplitudes(layout, circuit.initial_digits)
-    return _apply_gates(layout, amplitudes, 1.0, circuit.gates)
+    """Run the circuit's gates on its basis state (squared norm 1)."""
+    start = init_basis_state(circuit.layout, circuit.initial_digits)
+    return apply_gates(start, _kernel_gates(circuit.gates), 1.0)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
     """State after the loading stage: (1/sqrt(m)) sum_j |a_j> on the copy buffer, |j> on the index."""
-    layout = build_layout(problem)
+    layout = problem.layout
     gates = superposition_gates(problem, layout) + copy_gates(problem, layout)
     return execute_circuit(Circuit(layout, _initial_digits(problem, layout), gates))
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:
     """Apply the bit-weighted comparison rotations to a loaded state."""
-    layout = build_layout(problem)
+    layout = problem.layout
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
-    amplitudes = state.amplitudes.copy()
     gates = comparison_gates(problem, layout)
-    return _apply_gates(layout, amplitudes, squared_norm(amplitudes), gates)
+    return apply_gates(state, _kernel_gates(gates), squared_norm(state.values))
 
 
 def run(problem: SearchProblem) -> StateVector:

@@ -203,7 +203,7 @@ def _request_from_args(args: argparse.Namespace) -> SearchRequest:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 fields = parse_request_document(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read {args.input}: {exc}") from None
     if args.bits is not None:
         fields["n"] = str(args.bits)
@@ -233,10 +233,14 @@ def _request_from_args(args: argparse.Namespace) -> SearchRequest:
 def cmd_search(args: argparse.Namespace) -> int:
     resp = run_search(_request_from_args(args))
     document = render_search_document(resp)
-    sys.stdout.write(render_pretty(resp) if args.pretty else document)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        # written before stdout, so a failed write leaves no partial result
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.output}: {exc}") from None
+    sys.stdout.write(render_pretty(resp) if args.pretty else document)
     print(f"elapsed = {resp.elapsed:.6f}", file=sys.stderr)
     return EXIT_OK
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import Mode, SearchProblem, build_layout, uses_score
+from .builder import Mode, SearchProblem, uses_score
 from .errors import InvalidInputError
 from .state import Role, StateVector, marginal_probabilities
 
@@ -61,7 +61,7 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
     Modes whose rotations target the index qubit read its marginal directly;
     score-qubit modes condition the index marginal on score = 0.
     """
-    layout = build_layout(problem)
+    layout = problem.layout
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem")
     index = layout.single(Role.INDEX)

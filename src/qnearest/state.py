@@ -1,43 +1,43 @@
-"""Dense state vectors over mixed-radix registers.
+"""Support-sparse state vectors over mixed-radix registers.
 
 Amplitude ordering is row-major over the site list: the first site is the
 most significant digit of the flattened index, so a layout with dimensions
 (2, 2, 2, 2) stores the basis state with digits (0, 1, 0, 1) at flat index
 0b0101 = 5.
 
-:class:`StateVector` values are immutable, and every public function that
-takes one returns a new value. The gate kernel, :func:`apply_in_place`, is
-the one function that mutates: it updates a caller-owned buffer in place
-and reads and writes only the gate's control-selected block, in pieces of
-bounded size. The circuit loop (``builder.execute_circuit``) owns one
-buffer per run and calls the kernel once per gate; :func:`apply_controlled`
-is one copy followed by the same kernel.
+A :class:`StateVector` stores only its support: the int64 flat indices of
+its nonzero amplitudes and those amplitudes, with exact zeros dropped after
+every gate. Every circuit here is a basis state passed through controlled
+permutations, one H or Fourier gate and controlled rotations, so a final
+state has at most 2m nonzero amplitudes however large the layout is, and a
+gate costs O(support), not O(product of dims). The dense amplitude vector
+is built only when something reads :attr:`StateVector.amplitudes`.
 
-Every gate is norm-checked, block-locally: the kernel keeps a running
-squared norm of the whole buffer, takes off the block's squared norm before
-the gate and adds it back after, and a total farther than
-``NORM_TOLERANCE`` from 1 raises :class:`NormDriftError` instead of
-renormalizing. Drift that builds up over many gates is caught as well as
-drift within one, at the cost of the block, not the state. Unitarity is
-checked where a matrix enters, always by :class:`~qnearest.gates.Gate`:
-circuit gates are built as one, and :func:`apply_controlled` wraps its raw
-matrix in one.
+:class:`StateVector` values are immutable. The one gate kernel,
+:func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
+and :func:`apply_controlled`. It norm-checks every gate against a running
+squared norm, at ``NORM_TOLERANCE`` and NaN-safe, and raises
+:class:`NormDriftError` instead of renormalizing. Unitarity is checked
+where a matrix enters, by :class:`~qnearest.gates.Gate`: circuit gates are
+built as one, and :func:`apply_controlled` wraps its raw matrix in one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NormDriftError
+from .errors import CapacityError, InvalidInputError, NormDriftError
 from .gates import Gate
 
 NORM_TOLERANCE = 1e-10
-# largest piece of a gate's block gathered into scratch at once, in amplitudes
-KERNEL_CHUNK = 1 << 15
+# flat indices are int64, so no layout may hold more amplitudes than this
+MAX_AMPLITUDES = np.iinfo(np.int64).max
 
 
 class Role(Enum):
@@ -133,32 +133,54 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitudes over a :class:`RegisterLayout`.
+    """Unit-norm complex amplitudes over a :class:`RegisterLayout`, stored by support.
 
-    Construct through :func:`init_basis_state` or :meth:`from_amplitudes`;
-    the raw constructor trusts its arguments. The amplitude array is frozen
-    so shared states cannot be corrupted across threads.
+    ``indices`` holds the distinct int64 flat indices of the nonzero
+    amplitudes and ``values`` those amplitudes, in matching order; both are
+    frozen so shared states cannot be corrupted across threads. Construct
+    through :func:`init_basis_state` or :meth:`from_amplitudes`; the raw
+    constructor trusts its arguments.
     """
 
     layout: RegisterLayout
-    amplitudes: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, amplitudes: Iterable[complex]) -> StateVector:
         amps = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
-                          dtype=np.complex128).copy()
+                          dtype=np.complex128)
         if amps.shape != (layout.total_dimension,):
             raise InvalidInputError(
                 f"expected {layout.total_dimension} amplitudes, got shape {amps.shape}"
             )
-        _check_norm(squared_norm(amps))
+        indices = np.flatnonzero(amps)
+        values = amps[indices]
+        _check_norm(squared_norm(values))
+        return _frozen(layout, indices, values)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The dense, read-only amplitude vector of ``layout.total_dimension`` entries.
+
+        Built on first read; a run itself never builds it.
+        """
+        amps = np.zeros(self.layout.total_dimension, dtype=np.complex128)
+        amps[self.indices] = self.values
         amps.flags.writeable = False
-        return cls(layout, amps)
+        return amps
 
 
-def squared_norm(amplitudes: np.ndarray) -> float:
-    """Sum of ``|amplitude|^2`` over an amplitude buffer."""
-    return float(np.vdot(amplitudes, amplitudes).real)
+def _frozen(layout: RegisterLayout, indices: np.ndarray, values: np.ndarray) -> StateVector:
+    indices = indices.astype(np.int64, copy=False)
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    return StateVector(layout, indices, values)
+
+
+def squared_norm(values: np.ndarray) -> float:
+    """Sum of ``|amplitude|^2`` over an amplitude array."""
+    return float(np.vdot(values, values).real)
 
 
 def _check_norm(norm: float) -> None:
@@ -167,18 +189,19 @@ def _check_norm(norm: float) -> None:
         raise NormDriftError(f"squared norm drifted by {drift:.3e}")
 
 
-def basis_amplitudes(layout: RegisterLayout, digits: Sequence[int]) -> np.ndarray:
-    """Writable flat buffer holding amplitude 1 at the flattened index of ``digits``."""
-    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
-    amps[layout.flatten(digits)] = 1.0
-    return amps
-
-
 def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVector:
-    """Basis state with amplitude 1 at the flattened index of ``digits``."""
-    amps = basis_amplitudes(layout, digits)
-    amps.flags.writeable = False
-    return StateVector(layout, amps)
+    """Basis state with amplitude 1 at the flattened index of ``digits``.
+
+    Raises :class:`CapacityError` for a layout of more than
+    ``MAX_AMPLITUDES`` amplitudes, whose flat indices would overflow int64.
+    """
+    if layout.total_dimension > MAX_AMPLITUDES:
+        raise CapacityError(
+            f"layout has {layout.total_dimension} amplitudes; "
+            f"int64 flat indices stop at {MAX_AMPLITUDES}"
+        )
+    index = layout.flatten(digits)
+    return _frozen(layout, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128))
 
 
 def apply_controlled(
@@ -191,20 +214,16 @@ def apply_controlled(
 
     ``controls`` is a sequence of ``(site, required digit)`` pairs; a pair
     with digit 0 is a negative control, so no X-conjugation sandwich is
-    needed. Value in, value out: the state's amplitudes are copied once and
-    the copy goes through :func:`apply_in_place`, the kernel the circuit
-    loop uses. Callers pass raw matrices here, so the sites are checked and
-    the matrix is built into a :class:`~qnearest.gates.Gate` (shape and
-    unitarity) on every call, and the running norm starts from the input's
-    measured squared norm.
+    needed. Value in, value out, through :func:`apply_gates`, the kernel
+    the circuit loop uses. Callers pass raw matrices here, so the sites
+    are checked and the matrix is built into a
+    :class:`~qnearest.gates.Gate` (shape and unitarity) on every call, and
+    the running norm starts from the input's measured squared norm.
     """
     layout = state.layout
     check_gate_sites(layout.dims, controls, target)
     gate = Gate(layout.dims[target], matrix, "matrix")
-    flat = state.amplitudes.copy()
-    apply_in_place(flat.reshape(layout.dims), controls, target, gate.matrix, squared_norm(flat))
-    flat.flags.writeable = False
-    return StateVector(layout, flat)
+    return apply_gates(state, [(tuple(controls), target, gate.matrix)], squared_norm(state.values))
 
 
 def check_gate_sites(
@@ -212,7 +231,7 @@ def check_gate_sites(
 ) -> None:
     """Reject unknown sites, out-of-range control digits and any site used twice.
 
-    A control on the gate's own target would make :func:`apply_in_place`
+    A control on the gate's own target would make :func:`apply_gates`
     select the wrong amplitudes instead of failing, so it is rejected here.
     """
     nsites = len(dims)
@@ -231,56 +250,107 @@ def check_gate_sites(
             )
 
 
-def apply_in_place(
-    tensor: np.ndarray,
-    controls: Sequence[tuple[int, int]],
-    target: int,
-    matrix: np.ndarray,
+def _permutation(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(move, phase)`` if ``matrix`` has one nonzero in each row and column
+    (a permutation with phases), else None.
+
+    Column k sends digit k to digit ``k + move[k]``, times ``phase[k]``;
+    ``phase`` is None when every nonzero is exactly 1.
+    """
+    d = matrix.shape[0]
+    rows, cols = np.nonzero(matrix)  # in row-major order, so ``rows`` is sorted
+    if rows.tolist() != list(range(d)) or sorted(cols.tolist()) != list(range(d)):
+        return None
+    move = np.empty(d, dtype=np.int64)
+    move[cols] = rows - cols
+    phase = np.empty(d, dtype=np.complex128)
+    phase[cols] = matrix[rows, cols]
+    return move, None if (phase == 1).all() else phase
+
+
+def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
+    mask = np.ones(indices.size, dtype=bool)
+    for site, digit in controls:
+        mask &= indices // strides[site] % dims[site] == digit
+    return mask
+
+
+def apply_gates(
+    state: StateVector,
+    gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray]],
     norm: float,
-) -> float:
-    """Apply ``matrix`` to the target axis of ``tensor`` where all controls match.
+) -> StateVector:
+    """Apply ``(controls, target, matrix)`` gates in order to a copy of the support.
 
-    ``tensor`` is a writable amplitude buffer shaped to the layout's dims.
-    Only the control-selected block is read or written, in pieces of at
-    most ``KERNEL_CHUNK`` amplitudes (or d, if larger). Each piece's d
-    target slices are gathered into a ``(d, k)`` scratch array, replaced
-    by their linear combination ``matrix @ slices`` and scattered back; for
-    d = 2 that is one 2x2 combination of the two slices, with no special
-    case for X, where it adds exact zeros.
+    Each gate touches only the stored entries whose digits match all its
+    controls, in one of two ways decided by its matrix:
 
-    ``norm`` is the running squared norm of the whole buffer: each piece's
-    squared norm is taken off before the gate and added back after, and
-    the returned total must stay within ``NORM_TOLERANCE`` of 1, so drift
-    that builds up over many gates is caught as well as drift within one.
+    - one nonzero per row and column (X, or any permutation with phases):
+      each selected index moves to its target digit's image and its
+      amplitude is scaled by that column's entry, with no grouping (when
+      every entry is exactly 1, only indices move). A run of such gates
+      with equal controls computes the control mask once: none of them
+      changes a control digit, or the entry count unless a scaled
+      amplitude underflows to zero;
+    - any other matrix: the selected entries are grouped by their
+      non-target digits into ``(d, groups)`` fibres, and ``matrix @
+      fibres`` (the orientation of a dense block kernel) replaces them.
 
-    Sites and the matrix are trusted: :class:`~qnearest.builder.Circuit`
-    (or :func:`apply_controlled`) checked the sites, and
+    ``norm`` is the running squared norm of the state. Each gate moves it
+    by the squared norm of what it wrote minus what it read, and the total
+    must stay within ``NORM_TOLERANCE`` of 1 after every gate, so drift
+    summed over gates is caught as well as drift within one. Exact zeros
+    are dropped after every gate, so the stored count is the nonzero count.
+
+    Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
+    :func:`apply_controlled`) checked the sites, and
     :class:`~qnearest.gates.Gate` checked unitarity.
     """
-    index: list[slice] = [slice(None)] * tensor.ndim
-    for site, digit in controls:
-        # a length-1 slice, not an integer, keeps every axis, so the block
-        # is a view with the target at its own axis even when every other
-        # site is a control and the block is a single fibre
-        index[site] = slice(digit, digit + 1)
-    d = matrix.shape[0]
-    moved = tensor[tuple(index)].transpose(
-        [target] + [axis for axis in range(tensor.ndim) if axis != target]
-    )
-    # fix the leading non-target axes until one piece fits in KERNEL_CHUNK
-    rest = moved.shape[1:]
-    lead, size = len(rest), d
-    while lead and size * rest[lead - 1] <= KERNEL_CHUNK:
-        lead -= 1
-        size *= rest[lead]
-    for digits in np.ndindex(*rest[:lead]):
-        piece = moved[(slice(None),) + digits]
-        old = piece.reshape(d, -1)  # a copy unless the piece is contiguous
-        new = matrix @ old
-        norm += float(np.vdot(new, new).real) - float(np.vdot(old, old).real)
-        piece[...] = new.reshape(piece.shape)
-    _check_norm(norm)
-    return norm
+    layout = state.layout
+    dims, strides = layout.dims, layout.strides
+    indices, values = state.indices.copy(), state.values.copy()
+    # each distinct matrix is classified once; it is kept so that its id stays unique
+    kinds: dict[int, tuple[np.ndarray, tuple | None]] = {}
+    mask_controls, mask = None, None
+    for controls, target, matrix in gates:
+        kind = kinds.get(id(matrix))
+        if kind is None:
+            kind = kinds[id(matrix)] = (matrix, _permutation(matrix))
+        permutation = kind[1]
+        if mask is None or controls != mask_controls:
+            mask, mask_controls = _selected(indices, dims, strides, controls), controls
+        d, stride = dims[target], strides[target]
+        picked = indices[mask]
+        digit = picked // stride % d
+        zeros = False
+        if permutation is not None:
+            move, phase = permutation
+            indices[mask] = picked + move[digit] * stride
+            if phase is not None:
+                old = values[mask]
+                new = old * phase[digit]
+                values[mask] = new
+                norm += squared_norm(new) - squared_norm(old)
+                zeros = not new.all()
+        else:
+            old = values[mask]
+            keys, group = np.unique(picked - digit * stride, return_inverse=True)
+            fibres = np.zeros((d, keys.size), dtype=np.complex128)
+            fibres[digit, group] = old
+            new = matrix @ fibres
+            norm += squared_norm(new) - squared_norm(old)
+            rest = ~mask
+            indices = np.concatenate(
+                (indices[rest], (keys + np.arange(d)[:, None] * stride).reshape(-1))
+            )
+            values = np.concatenate((values[rest], new.reshape(-1)))
+            zeros = True
+        _check_norm(norm)
+        if zeros:
+            keep = values != 0
+            indices, values = indices[keep], values[keep]
+            mask = None
+    return _frozen(layout, indices, values)
 
 
 def marginal_probabilities(
@@ -288,23 +358,27 @@ def marginal_probabilities(
 ) -> dict[tuple[int, ...], float]:
     """Outcome probabilities for a subset of sites.
 
-    Keys are digit tuples in the order the sites were given; values sum to 1.
+    Keys are digit tuples in the order the sites were given, covering every
+    outcome; values sum to 1. Each stored entry's ``|amplitude|^2`` is added
+    to the cell of its digits on those sites, so the cost is O(support) plus
+    the number of outcomes.
     """
     order = tuple(sites)
     if not order:
         raise InvalidInputError("site subset must be nonempty")
     if len(set(order)) != len(order):
         raise InvalidInputError("duplicate sites in subset")
-    nsites = len(state.layout.sites)
+    layout = state.layout
+    nsites = len(layout.sites)
     for s in order:
         if not 0 <= s < nsites:
             raise InvalidInputError(f"unknown site {s}")
-    probs = np.abs(state.amplitudes.reshape(state.layout.dims)) ** 2
-    drop = tuple(ax for ax in range(nsites) if ax not in order)
-    marg = probs.sum(axis=drop) if drop else probs
-    kept = [ax for ax in range(nsites) if ax in order]
-    marg = np.transpose(marg, [kept.index(s) for s in order])
-    return {tuple(int(v) for v in idx): float(p) for idx, p in np.ndenumerate(marg)}
+    shape = tuple(layout.dims[s] for s in order)
+    cell = np.zeros(state.indices.size, dtype=np.int64)
+    for s in order:
+        cell = cell * layout.dims[s] + state.indices // layout.strides[s] % layout.dims[s]
+    probs = np.bincount(cell, weights=np.abs(state.values) ** 2, minlength=math.prod(shape))
+    return {tuple(int(v) for v in idx): float(p) for idx, p in np.ndenumerate(probs.reshape(shape))}
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -1,9 +1,10 @@
-"""The names the traced benchmark run looks up in ``qnearest`` still exist.
+"""The names and values the traced benchmark run reads from ``qnearest`` still exist.
 
 ``qbench/spans.py`` wraps functions and dataclass validators by module and
 attribute name, and ``qbench/workloads.py`` calls ``SearchProblem.state_size``.
-A rename in ``src`` would break the benchmark only at run time, so this pins
-those names here.
+The traced pass reads ``state.amplitudes`` of each final state, for its size
+and its nonzero count. A change in ``src`` would break the benchmark only at
+run time, so this pins those names and values here.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qnearest import SearchProblem
+from qnearest import Mode, SearchProblem, run
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "qbench" / "spans.py"
 
@@ -41,3 +43,19 @@ def test_traced_validators_resolve(name, module, cls):
 
 def test_workload_descriptor_needs_state_size():
     assert callable(SearchProblem.state_size)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [SearchProblem(3, (2, 6), 5, Mode.PAPER), SearchProblem(3, (2, 6, 5, 0), 5),
+     SearchProblem(2, (1, 3, 0), 2, Mode.FULL)],
+    ids=lambda p: p.mode.value,
+)
+def test_final_state_amplitudes_are_dense_read_only_and_match_the_support(problem):
+    state = run(problem)
+    amps = state.amplitudes
+    assert isinstance(amps, np.ndarray)
+    assert amps.shape == (problem.layout.total_dimension,)
+    assert not amps.flags.writeable
+    assert np.count_nonzero(amps) == state.indices.size
+    assert np.array_equal(amps[state.indices], state.values)

@@ -320,6 +320,19 @@ def test_state_size_matches_the_layout(instance, mode):
     assert problem.state_size() == build_layout(problem).total_dimension
 
 
+def test_a_search_builds_its_layout_once(monkeypatch):
+    import qnearest.builder as builder_module
+    from qnearest.cli import SearchRequest, run_search
+
+    calls = []
+    original = builder_module.build_layout
+    monkeypatch.setattr(builder_module, "build_layout", lambda p: calls.append(p) or original(p))
+    run_search(SearchRequest(3, 5, (2, 6, 5, 0)))
+    assert len(calls) == 1
+    problem = SearchProblem(3, (2, 6), 5, Mode.FULL)
+    assert problem.layout is problem.layout == build_layout(problem)
+
+
 def test_problem_validation():
     with pytest.raises(InvalidInputError):
         SearchProblem(3, (2, 6), 9)

@@ -129,6 +129,26 @@ def test_invalid_inputs_exit_one(capsys, argv):
     assert err
 
 
+def test_non_utf8_input_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "request.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "search", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_unwritable_output_path_exits_one_before_printing(capsys, tmp_path):
+    target = tmp_path / "missing" / "result.txt"
+    code, out, err = run_cli(
+        capsys, "search", "--bits", "3", "--target", "5", "--array", "2,6",
+        "--output", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
 def test_capacity_overflow_exits_three(capsys):
     code, _, err = run_cli(
         capsys, "search", "--bits", "16", "--target", "5", "--array", "2,6,9",

@@ -1,20 +1,21 @@
-"""The in-place circuit loop against the value-in/value-out kernel and a
-moveaxis + matmul reference, plus its running norm check and its memory."""
+"""The support-sparse kernel against an independent dense whole-block
+reference, on random circuits, random dense states and the built search
+circuits of every mode; its two gate paths, its running norm check, its
+stored support and its memory."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from functools import reduce
 from types import SimpleNamespace
-from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-import qnearest.state as state_module
-from conftest import make_layout, random_unitary
+from conftest import instances, make_layout, random_state, random_unitary
 from qnearest import (
     Circuit,
     CircuitGate,
@@ -23,14 +24,14 @@ from qnearest import (
     SearchProblem,
     StateVector,
     apply_controlled,
+    build_circuit,
     execute_circuit,
+    hadamard,
     init_basis_state,
+    pauli_x,
     run,
 )
-from qnearest.errors import NormDriftError
-from qnearest.state import KERNEL_CHUNK
-
-AMPLITUDE_BYTES = np.dtype(np.complex128).itemsize
+from qnearest.errors import CapacityError, NormDriftError
 
 
 def reference_apply(amps, dims, controls, target, matrix):
@@ -47,56 +48,158 @@ def reference_apply(amps, dims, controls, target, matrix):
     return out.reshape(-1)
 
 
-@st.composite
-def random_circuits(draw):
-    """Circuits of random unitaries on mixed-radix layouts with dims 2-5.
+def _reference_run(amps, dims, gates):
+    return reduce(
+        lambda out, cg: reference_apply(out, dims, cg.controls, cg.target, cg.gate.matrix),
+        gates,
+        amps,
+    )
 
-    Some gates are controlled on every other site, so their block is the
-    target's own d amplitudes.
+
+def _phased_shift(rng, d):
+    # a permutation with unit phases: the kernel moves and scales, never groups
+    matrix = pauli_x(d).matrix @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+    return matrix[:, rng.permutation(d)]
+
+
+@st.composite
+def random_gates(draw, dims):
+    """Random gates on a mixed-radix layout, drawn from both kernel paths.
+
+    Each gate is a random unitary, an exact shift or a permutation with
+    phases. Some are controlled on every other site, so their block is the
+    target's own d amplitudes, and some repeat the previous gate's controls,
+    so permutations form runs that share one control mask.
     """
-    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gates = []
     for k in range(draw(st.integers(1, 10))):
         target = draw(st.integers(0, len(dims) - 1))
-        free = [s for s in range(len(dims)) if s != target]
-        if free and not draw(st.booleans()):
-            free = draw(st.lists(st.sampled_from(free), unique=True))
-        controls = tuple((s, draw(st.integers(0, dims[s] - 1))) for s in free)
+        d = dims[target]
+        previous = gates[-1].controls if gates else ()
+        if previous and target not in dict(previous) and draw(st.booleans()):
+            controls = previous
+        else:
+            free = [s for s in range(len(dims)) if s != target]
+            if free and not draw(st.booleans()):
+                free = draw(st.lists(st.sampled_from(free), unique=True))
+            controls = tuple((s, draw(st.integers(0, dims[s] - 1))) for s in free)
+        kind = draw(st.sampled_from(["unitary", "shift", "phased"]))
+        if kind == "unitary":
+            matrix = random_unitary(rng, d)
+        elif kind == "shift":
+            matrix = pauli_x(d).matrix
+        else:
+            matrix = _phased_shift(rng, d)
         # built with Gate, so its unitarity check still applies
-        gate = Gate(dims[target], random_unitary(rng, dims[target]), f"U{k}")
-        gates.append(CircuitGate(gate, controls, target))
+        gates.append(CircuitGate(Gate(d, matrix, f"{kind}{k}"), controls, target))
+    return tuple(gates)
+
+
+@st.composite
+def random_circuits(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
     digits = tuple(draw(st.integers(0, d - 1)) for d in dims)
-    return Circuit(make_layout(*dims), digits, tuple(gates))
+    return Circuit(make_layout(*dims), digits, draw(random_gates(dims)))
 
 
-def _fold(circuit):
-    start = init_basis_state(circuit.layout, circuit.initial_digits)
+def _fold(state, gates):
     return reduce(
-        lambda state, cg: apply_controlled(state, cg.controls, cg.target, cg.gate.matrix),
-        circuit.gates,
-        start,
-    ).amplitudes
-
-
-def _reference(circuit):
-    dims = circuit.layout.dims
-    start = init_basis_state(circuit.layout, circuit.initial_digits).amplitudes
-    return reduce(
-        lambda amps, cg: reference_apply(amps, dims, cg.controls, cg.target, cg.gate.matrix),
-        circuit.gates,
-        start,
+        lambda out, cg: apply_controlled(out, cg.controls, cg.target, cg.gate.matrix),
+        gates,
+        state,
     )
 
 
-@given(random_circuits(), st.sampled_from([2, 3, 16, KERNEL_CHUNK]))
-def test_in_place_loop_matches_the_gate_by_gate_fold(circuit, chunk):
-    # small chunks split each block into many pieces, as large states do
-    with mock.patch.object(state_module, "KERNEL_CHUNK", chunk):
-        loop = execute_circuit(circuit).amplitudes
-        fold = _fold(circuit)
-    assert np.max(np.abs(loop - fold)) <= 1e-12
-    assert np.max(np.abs(loop - _reference(circuit))) <= 1e-12
+@given(random_circuits())
+def test_in_place_loop_matches_the_gate_by_gate_fold(circuit):
+    loop = execute_circuit(circuit)
+    fold = _fold(init_basis_state(circuit.layout, circuit.initial_digits), circuit.gates)
+    start = init_basis_state(circuit.layout, circuit.initial_digits).amplitudes
+    reference = _reference_run(start, circuit.layout.dims, circuit.gates)
+    assert np.max(np.abs(loop.amplitudes - fold.amplitudes)) <= 1e-12
+    assert np.max(np.abs(loop.amplitudes - reference)) <= 1e-12
+    assert loop.indices.size == np.count_nonzero(loop.amplitudes)
+
+
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=4).flatmap(
+    lambda dims: st.tuples(st.just(tuple(dims)), random_gates(tuple(dims)),
+                           st.integers(0, 2 ** 32 - 1))))
+def test_apply_controlled_from_dense_states_matches_the_reference(case):
+    # full support: every group holds d entries, and no amplitude starts at zero
+    dims, gates, seed = case
+    layout = make_layout(*dims)
+    amps = random_state(np.random.default_rng(seed), layout.total_dimension)
+    out = _fold(StateVector.from_amplitudes(layout, amps), gates)
+    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(data=st.data())
+def test_built_circuits_match_the_reference(mode, data):
+    # full mode stays at n <= 2, m <= 3 (at most 2^10 * 4 * 2 dense amplitudes)
+    max_bits, max_m = {Mode.PAPER: (4, 2), Mode.GENERAL: (4, 6), Mode.FULL: (2, 3)}[mode]
+    min_m = 2 if mode is Mode.PAPER else 1
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    circuit = build_circuit(problem)
+    start = init_basis_state(circuit.layout, circuit.initial_digits).amplitudes
+    reference = _reference_run(start, circuit.layout.dims, circuit.gates)
+    assert np.max(np.abs(run(problem).amplitudes - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(data=st.data())
+def test_a_run_stores_at_most_two_amplitudes_per_index_level(mode, data):
+    # every branch j holds one copy-register value and, at most, two score
+    # (or index) levels; the layout itself is far larger in full mode
+    max_bits, max_m = {Mode.PAPER: (8, 2), Mode.GENERAL: (8, 16), Mode.FULL: (3, 4)}[mode]
+    min_m = 2 if mode is Mode.PAPER else 1
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    state = run(problem)
+    assert state.indices.size == state.values.size <= 2 * max(2, problem.m)
+    assert np.all(state.values != 0)
+    assert np.unique(state.indices).size == state.indices.size
+
+
+def test_permutation_gates_move_indices_and_scale_amplitudes():
+    # a phased cyclic shift on a qutrit where site 0 reads 1, after H on site 0
+    layout = make_layout(2, 3)
+    phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+    shift = Gate(3, pauli_x(3).matrix @ np.diag(phases), "P")
+    circuit = Circuit(layout, (0, 2), (
+        CircuitGate(hadamard(), (), 0),
+        CircuitGate(shift, ((0, 1),), 1),
+    ))
+    state = execute_circuit(circuit)
+    got = dict(zip(state.indices.tolist(), state.values.tolist()))
+    r = 2 ** -0.5
+    assert got == pytest.approx({layout.flatten((0, 2)): r,
+                                 layout.flatten((1, 0)): r * phases[2]}, abs=1e-15)
+
+
+def test_a_run_of_permutations_with_shared_controls_matches_the_reference():
+    # consecutive X gates under one control, as copy_gates emits per element,
+    # including a target whose digit an earlier gate of the run moved
+    layout = make_layout(3, 2, 2, 2)
+    spread = CircuitGate(Gate(3, random_unitary(np.random.default_rng(5), 3), "U"), (), 0)
+    flip = pauli_x(2)
+    run_gates = tuple(CircuitGate(flip, ((0, 1),), t) for t in (1, 2, 3, 2))
+    circuit = Circuit(layout, (0, 0, 0, 0), (spread,) + run_gates)
+    start = init_basis_state(layout, (0, 0, 0, 0)).amplitudes
+    reference = _reference_run(start, layout.dims, circuit.gates)
+    assert np.max(np.abs(execute_circuit(circuit).amplitudes - reference)) <= 1e-15
+
+
+def test_exact_zeros_are_dropped_after_a_gate():
+    # H twice returns |0>; the |1> amplitude cancels to an exact zero
+    layout = make_layout(2, 3)
+    h = CircuitGate(hadamard(), (), 0)
+    state = execute_circuit(Circuit(layout, (0, 1), (h,)))
+    assert state.indices.size == 2
+    state = execute_circuit(Circuit(layout, (0, 1), (h, h)))
+    assert state.indices.tolist() == [layout.flatten((0, 1))]
 
 
 @pytest.mark.parametrize("dims, target", [((2, 3, 4), 0), ((3, 2), 1), ((4, 5, 2), 2)])
@@ -111,7 +214,8 @@ def test_gate_controlled_on_every_other_site_updates_one_fibre(dims, target):
     gate = Gate(dims[target], random_unitary(rng, dims[target]), "U")
     circuit = Circuit(layout, (0,) * len(dims), spread + (CircuitGate(gate, controls, target),))
     loop = execute_circuit(circuit).amplitudes
-    assert np.max(np.abs(loop - _reference(circuit))) <= 1e-12
+    start = init_basis_state(layout, (0,) * len(dims)).amplitudes
+    assert np.max(np.abs(loop - _reference_run(start, dims, circuit.gates))) <= 1e-12
     before = execute_circuit(Circuit(layout, (0,) * len(dims), spread)).amplitudes
     changed = np.flatnonzero(np.abs(loop - before) > 0)
     assert 0 < len(changed) <= dims[target]
@@ -123,45 +227,54 @@ def _raw_gate(matrix, label):
     return SimpleNamespace(dimension=matrix.shape[0], matrix=matrix, label=label)
 
 
-def _drifting_circuit(scale, count):
-    # H on site 0, then ``count`` copies of ``scale * I`` on site 1 where
+# one gate for each kernel path: a permutation (scaled identity) and a
+# grouped matrix (scaled Fourier gate)
+DRIFT_BASES = (np.eye(3), np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3))
+
+
+def _drifting_circuit(base, scale, count):
+    # H on site 0, then ``count`` copies of ``scale * base`` on site 1 where
     # site 0 reads 1: each multiplies that half's squared norm by scale^2
     layout = make_layout(2, 3)
-    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    gates = (CircuitGate(_raw_gate(hadamard, "H"), (), 0),) + tuple(
-        CircuitGate(_raw_gate(scale * np.eye(3), f"D{k}"), ((0, 1),), 1) for k in range(count)
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    gates = (CircuitGate(_raw_gate(h, "H"), (), 0),) + tuple(
+        CircuitGate(_raw_gate(scale * base, f"D{k}"), ((0, 1),), 1) for k in range(count)
     )
     return Circuit(layout, (0, 0), gates)
 
 
 def test_one_scaled_gate_raises_norm_drift():
-    with pytest.raises(NormDriftError):
-        execute_circuit(_drifting_circuit(1 + 1e-6, 1))
+    for base in DRIFT_BASES:
+        with pytest.raises(NormDriftError):
+            execute_circuit(_drifting_circuit(base, 1 + 1e-6, 1))
 
 
 def test_drift_summed_over_gates_raises_though_each_gate_is_within_tolerance():
     # each gate adds 0.5 * 5e-11 = 2.5e-11 to the squared norm, a quarter of
     # NORM_TOLERANCE: three stay within it, five sum past it
     scale = np.sqrt(1 + 5e-11)
-    state = execute_circuit(_drifting_circuit(scale, 3))
-    drift = float(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0
-    assert drift == pytest.approx(7.5e-11, rel=1e-3)
-    with pytest.raises(NormDriftError):
-        execute_circuit(_drifting_circuit(scale, 5))
+    for base in DRIFT_BASES:
+        state = execute_circuit(_drifting_circuit(base, scale, 3))
+        drift = float(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0
+        assert drift == pytest.approx(7.5e-11, rel=1e-3)
+        with pytest.raises(NormDriftError):
+            execute_circuit(_drifting_circuit(base, scale, 5))
 
 
 def test_nan_amplitudes_fail_the_norm_check():
-    # NaN compares false against any tolerance, so the check must not pass it
-    nan_gate = _raw_gate([[np.nan, 0], [0, 1]], "NaN")
-    with pytest.raises(NormDriftError):
-        execute_circuit(Circuit(make_layout(2), (0,), (CircuitGate(nan_gate, (), 0),)))
+    # NaN compares false against any tolerance, so the check must not pass it;
+    # one NaN gate per kernel path
+    for matrix in ([[np.nan, 0], [0, 1]], [[np.nan, 1], [1, 0]]):
+        nan_gate = _raw_gate(matrix, "NaN")
+        with pytest.raises(NormDriftError):
+            execute_circuit(Circuit(make_layout(2), (0,), (CircuitGate(nan_gate, (), 0),)))
     with pytest.raises(NormDriftError):
         StateVector.from_amplitudes(make_layout(2), [np.nan, 0.0])
 
 
-def test_run_peak_memory_is_one_state_plus_scratch():
-    problem = SearchProblem(3, (1, 5, 6), 4, Mode.FULL)
-    state_bytes = problem.state_size() * AMPLITUDE_BYTES  # 3 MiB
+def test_run_peak_memory_is_bounded_by_the_support():
+    # full (3, 4) has 2,097,152 amplitudes (32 MiB dense), 8 of them nonzero
+    problem = SearchProblem(3, (1, 5, 6, 2), 4, Mode.FULL)
     run(problem)  # first call outside the measurement
     tracemalloc.start()
     try:
@@ -170,8 +283,27 @@ def test_run_peak_memory_is_one_state_plus_scratch():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert state.amplitudes.nbytes == state_bytes
-    # the buffer itself plus a gathered piece and its product, each at most
-    # KERNEL_CHUNK amplitudes
-    assert peak <= state_bytes + 4 * KERNEL_CHUNK * AMPLITUDE_BYTES
-    assert peak <= 2 * state_bytes
+    assert state.indices.size <= 8
+    assert peak <= 256 * 1024
+
+
+def test_layouts_beyond_int64_flat_indices_raise_capacity_error():
+    # 2^(8 * 10) * 8 * 2 amplitudes: under this cap, but past int64 indices
+    problem = SearchProblem(8, tuple(range(8)), 3, Mode.FULL, amplitude_cap=1 << 200)
+    with pytest.raises(CapacityError):
+        run(problem)
+    with pytest.raises(CapacityError):
+        init_basis_state(make_layout(*[2] * 63), (0,) * 63)
+
+
+def test_a_2_to_the_62_amplitude_layout_runs_on_its_support():
+    # strides up to 2^61 stay exact in int64; nothing of the layout's size is allocated
+    layout = make_layout(*[2] * 62)
+    circuit = Circuit(layout, (0,) * 62, (
+        CircuitGate(hadamard(), (), 0),
+        CircuitGate(pauli_x(2), ((0, 1),), 61),
+        CircuitGate(pauli_x(2), ((0, 1),), 30),
+    ))
+    state = execute_circuit(circuit)
+    assert sorted(state.indices.tolist()) == [0, (1 << 61) + (1 << 31) + 1]
+    assert np.allclose(state.values, 2 ** -0.5, atol=1e-15)
