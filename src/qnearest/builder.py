@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import CapacityError, InvalidInputError
@@ -273,13 +274,11 @@ def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitG
     flip = pauli_x(2)
     out = []
     for j, v in enumerate(problem.a):
+        branch = ((index, j),)
         for k, bit in enumerate(value_bits(v, n)):
-            if not bit:
-                continue
-            controls = [(index, j)]
-            if arrs:
-                controls.append((arrs[j * n + k], 1))
-            out.append(CircuitGate(flip, tuple(controls), copies[k]))
+            if bit:
+                controls = branch + ((arrs[j * n + k], 1),) if arrs else branch
+                out.append(CircuitGate(flip, controls, copies[k]))
     return tuple(out)
 
 
@@ -298,11 +297,13 @@ def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[Ci
     refs = layout.sites_of(Role.REFERENCE)
     target = layout.single(Role.SCORE) if uses_score(problem) else layout.single(Role.INDEX)
     b_bits = value_bits(problem.b, n)
+    # bit k is set where some element differs from b at bit k
+    differs = value_bits(reduce(or_, (v ^ problem.b for v in problem.a)), n)
     out = []
     for k in range(n):
-        b_k = b_bits[k]
-        if all(value_bits(v, n)[k] == b_k for v in problem.a):
+        if not differs[k]:
             continue
+        b_k = b_bits[k]
         controls = [(copies[k], 1 - b_k)]
         if refs:
             controls.insert(0, (refs[k], b_k))

@@ -2,18 +2,29 @@
 
 Each constructor returns a :class:`Gate` carrying the full matrix so tests
 can audit entries directly instead of trusting composed behavior.
+
+:func:`rx`, :func:`hadamard`, :func:`pauli_x` and :func:`fourier` are
+memoized: equal arguments return the same :class:`Gate`, built and checked
+once. A ``Gate`` is frozen and its matrix read-only, so one instance is
+safely shared by every circuit and caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 GATE_UNITARY_TOLERANCE = 1e-12
+# Memo bounds. Rotations are 2x2 and a search uses up to 2n distinct angles.
+# Shift and Fourier gates hold a d x d matrix, so only a few of each are
+# kept: enough for a process cycling over a few element counts.
+ROTATION_MEMO_SIZE = 256
+MATRIX_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,19 +55,24 @@ def _require_finite(theta: float) -> float:
     return theta
 
 
+@lru_cache(maxsize=ROTATION_MEMO_SIZE)
 def rx(theta: float) -> Gate:
     """X-axis rotation: diagonal cos(theta/2), off-diagonal -i sin(theta/2)."""
-    theta = _require_finite(theta)
+    # -0.0 and 0.0 share one memo entry; + 0.0 keeps its label from
+    # depending on which of them was asked for first
+    theta = _require_finite(theta) + 0.0
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     return Gate(2, np.array([[c, -1j * s], [-1j * s, c]]), f"RX({theta:.12g})")
 
 
+@lru_cache(maxsize=1)
 def hadamard() -> Gate:
     r = 1.0 / math.sqrt(2.0)
     return Gate(2, np.array([[r, r], [r, -r]]), "H")
 
 
+@lru_cache(maxsize=MATRIX_MEMO_SIZE)
 def pauli_x(dimension: int = 2) -> Gate:
     """Bit flip for dimension 2; the cyclic shift |k> -> |k+1 mod d> above."""
     if dimension < 2:
@@ -67,6 +83,7 @@ def pauli_x(dimension: int = 2) -> Gate:
     return Gate(dimension, mat, "X" if dimension == 2 else f"X{dimension}")
 
 
+@lru_cache(maxsize=MATRIX_MEMO_SIZE)
 def fourier(dimension: int) -> Gate:
     """Discrete Fourier gate; sends |0> to the uniform superposition."""
     if dimension < 2:

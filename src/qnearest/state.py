@@ -15,11 +15,14 @@ is built only when something reads :attr:`StateVector.amplitudes`.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
-and :func:`apply_controlled`. It norm-checks every gate against a running
-squared norm, at ``NORM_TOLERANCE`` and NaN-safe, and raises
-:class:`NormDriftError` instead of renormalizing. Unitarity is checked
-where a matrix enters, by :class:`~qnearest.gates.Gate`: circuit gates are
-built as one, and :func:`apply_controlled` wraps its raw matrix in one.
+and :func:`apply_controlled`. A run of qubit X gates each controlled on
+the same one site (the copy stage of a compiled circuit) is executed as
+one multiplexed index move, the rest gate by gate. It norm-checks every
+gate or fused run against a running squared norm, at ``NORM_TOLERANCE``
+and NaN-safe, and raises :class:`NormDriftError` instead of renormalizing.
+Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
+circuit gates are built as one, and :func:`apply_controlled` wraps its raw
+matrix in one.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -258,6 +263,8 @@ def _permutation(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | N
     ``phase`` is None when every nonzero is exactly 1.
     """
     d = matrix.shape[0]
+    if np.count_nonzero(matrix) != d:  # cheaper than listing a dense matrix's nonzeros
+        return None
     rows, cols = np.nonzero(matrix)  # in row-major order, so ``rows`` is sorted
     if rows.tolist() != list(range(d)) or sorted(cols.tolist()) != list(range(d)):
         return None
@@ -275,6 +282,25 @@ def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
     return mask
 
 
+def _multiplexed_flip(indices: np.ndarray, dims, strides, site: int, run) -> np.ndarray:
+    """``indices`` after a run of qubit X gates, each controlled on ``site`` alone.
+
+    No gate of the run targets ``site``, so the gates commute and the run is
+    one permutation keyed by the digit on ``site``: on the branch where it
+    reads c, target t flips once if an odd number of the run's gates with
+    control digit c target it (repeats cancel), else not at all. That
+    ``(dims[site], targets)`` parity table moves every index by ``sum_t
+    flip[c, t] * (1 - 2 * digit_t) * stride_t`` in one step.
+    """
+    nsites = len(dims)
+    codes = [controls[0][1] * nsites + target for _, controls, target, _, _ in run]
+    parity = np.bincount(codes, minlength=dims[site] * nsites).reshape(dims[site], nsites) % 2
+    targets = np.flatnonzero(parity.any(axis=0))
+    steps = np.asarray(strides, dtype=np.int64)[targets]
+    sign = 1 - 2 * (indices[:, None] // steps % 2)
+    return indices + (parity[:, targets][indices // strides[site] % dims[site]] * sign) @ steps
+
+
 def apply_gates(
     state: StateVector,
     gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray]],
@@ -283,24 +309,28 @@ def apply_gates(
     """Apply ``(controls, target, matrix)`` gates in order to a copy of the support.
 
     Each gate touches only the stored entries whose digits match all its
-    controls, in one of two ways decided by its matrix:
+    controls, in one of three ways decided by its matrix and controls:
 
-    - one nonzero per row and column (X, or any permutation with phases):
-      each selected index moves to its target digit's image and its
-      amplitude is scaled by that column's entry, with no grouping (when
-      every entry is exactly 1, only indices move). A run of such gates
-      with equal controls computes the control mask once: none of them
-      changes a control digit, or the entry count unless a scaled
-      amplitude underflows to zero;
+    - a maximal run of consecutive qubit X gates that each have exactly one
+      control, all on the same site (which, sites being valid, none of
+      them targets) is one multiplexed permutation keyed by that site's
+      digit, and every stored index moves in one step (see
+      :func:`_multiplexed_flip`). In compiled modes this is the whole copy
+      stage;
+    - any other matrix with one nonzero per row and column (X, or any
+      permutation with phases): each selected index moves to its target
+      digit's image and its amplitude is scaled by that column's entry,
+      with no grouping (when every entry is exactly 1, only indices move);
     - any other matrix: the selected entries are grouped by their
       non-target digits into ``(d, groups)`` fibres, and ``matrix @
       fibres`` (the orientation of a dense block kernel) replaces them.
 
     ``norm`` is the running squared norm of the state. Each gate moves it
     by the squared norm of what it wrote minus what it read, and the total
-    must stay within ``NORM_TOLERANCE`` of 1 after every gate, so drift
-    summed over gates is caught as well as drift within one. Exact zeros
-    are dropped after every gate, so the stored count is the nonzero count.
+    must stay within ``NORM_TOLERANCE`` of 1 after every gate or fused run,
+    so drift summed over gates is caught as well as drift within one. Exact
+    zeros are dropped after every gate, so the stored count is the nonzero
+    count.
 
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
     :func:`apply_controlled`) checked the sites, and
@@ -310,46 +340,57 @@ def apply_gates(
     dims, strides = layout.dims, layout.strides
     indices, values = state.indices.copy(), state.values.copy()
     # each distinct matrix is classified once; it is kept so that its id stays unique
-    kinds: dict[int, tuple[np.ndarray, tuple | None]] = {}
-    mask_controls, mask = None, None
-    for controls, target, matrix in gates:
-        kind = kinds.get(id(matrix))
-        if kind is None:
-            kind = kinds[id(matrix)] = (matrix, _permutation(matrix))
-        permutation = kind[1]
-        if mask is None or controls != mask_controls:
-            mask, mask_controls = _selected(indices, dims, strides, controls), controls
-        d, stride = dims[target], strides[target]
-        picked = indices[mask]
-        digit = picked // stride % d
-        zeros = False
-        if permutation is not None:
-            move, phase = permutation
-            indices[mask] = picked + move[digit] * stride
-            if phase is not None:
+    kinds: dict[int, tuple[np.ndarray, tuple | None, bool]] = {}
+
+    def keyed():
+        # a single-control qubit X is keyed by its control site, any other gate by None
+        for controls, target, matrix in gates:
+            kind = kinds.get(id(matrix))
+            if kind is None:
+                permutation = _permutation(matrix)
+                flip = (matrix.shape[0] == 2 and permutation is not None
+                        and permutation[1] is None and bool(permutation[0][0]))
+                kind = kinds[id(matrix)] = (matrix, permutation, flip)
+            site = controls[0][0] if kind[2] and len(controls) == 1 else None
+            yield site, controls, target, matrix, kind[1]
+
+    for site, run in groupby(keyed(), key=itemgetter(0)):
+        if site is not None:
+            indices = _multiplexed_flip(indices, dims, strides, site, run)
+            _check_norm(norm)
+            continue
+        for _, controls, target, matrix, permutation in run:
+            mask = _selected(indices, dims, strides, controls)
+            d, stride = dims[target], strides[target]
+            picked = indices[mask]
+            digit = picked // stride % d
+            zeros = False
+            if permutation is not None:
+                move, phase = permutation
+                indices[mask] = picked + move[digit] * stride
+                if phase is not None:
+                    old = values[mask]
+                    new = old * phase[digit]
+                    values[mask] = new
+                    norm += squared_norm(new) - squared_norm(old)
+                    zeros = not new.all()
+            else:
                 old = values[mask]
-                new = old * phase[digit]
-                values[mask] = new
+                keys, group = np.unique(picked - digit * stride, return_inverse=True)
+                fibres = np.zeros((d, keys.size), dtype=np.complex128)
+                fibres[digit, group] = old
+                new = matrix @ fibres
                 norm += squared_norm(new) - squared_norm(old)
-                zeros = not new.all()
-        else:
-            old = values[mask]
-            keys, group = np.unique(picked - digit * stride, return_inverse=True)
-            fibres = np.zeros((d, keys.size), dtype=np.complex128)
-            fibres[digit, group] = old
-            new = matrix @ fibres
-            norm += squared_norm(new) - squared_norm(old)
-            rest = ~mask
-            indices = np.concatenate(
-                (indices[rest], (keys + np.arange(d)[:, None] * stride).reshape(-1))
-            )
-            values = np.concatenate((values[rest], new.reshape(-1)))
-            zeros = True
-        _check_norm(norm)
-        if zeros:
-            keep = values != 0
-            indices, values = indices[keep], values[keep]
-            mask = None
+                rest = ~mask
+                indices = np.concatenate(
+                    (indices[rest], (keys + np.arange(d)[:, None] * stride).reshape(-1))
+                )
+                values = np.concatenate((values[rest], new.reshape(-1)))
+                zeros = True
+            _check_norm(norm)
+            if zeros:
+                keep = values != 0
+                indices, values = indices[keep], values[keep]
     return _frozen(layout, indices, values)
 
 
@@ -382,7 +423,12 @@ def marginal_probabilities(
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product, conjugate-linear in ``a``."""
+    """Hermitian inner product, conjugate-linear in ``a``.
+
+    Only indices stored in both supports contribute, so the cost is
+    O(support) however large the layout is.
+    """
     if a.layout != b.layout:
         raise InvalidInputError("states live on different layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    _, ia, ib = np.intersect1d(a.indices, b.indices, assume_unique=True, return_indices=True)
+    return complex(np.vdot(a.values[ia], b.values[ib]))

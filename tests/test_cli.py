@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+import qnearest
 from qnearest.cli import main, parse_request_document
-from qnearest.errors import NormDriftError
+from qnearest.errors import InvalidInputError, NormDriftError
 
 from test_builder import GENERAL_P, PAPER_P
 
@@ -82,6 +89,22 @@ def test_search_round_trips_through_files(capsys, tmp_path):
     code, second, _ = run_cli(capsys, "search", "--input", str(path))
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("mode, array", [("paper", "2,6"), ("general", "2,6,5,0"),
+                                         ("full", "1,3,0")])
+@pytest.mark.parametrize("sampling", [[], ["--shots", "1000"], ["--shots", "777", "--seed", "9"]],
+                         ids=["exact", "shots", "shots-seed"])
+def test_search_replays_its_own_output(capsys, tmp_path, mode, array, sampling):
+    path = tmp_path / "result.txt"
+    argv = ["search", "--bits", "3", "--target", "5", "--array", array, "--mode", mode,
+            *sampling, "--output", str(path)]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == first
+    code, replayed, _ = run_cli(capsys, "search", "--input", str(path))
+    assert code == 0
+    assert replayed == first
 
 
 def test_flags_override_input_file_fields(capsys, tmp_path):
@@ -242,9 +265,60 @@ def test_sweep_agreement_and_determinism(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same qnearest as this process, however pytest found it
+    src = str(Path(qnearest.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qnearest", "example"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "status = ok" in proc.stdout
+
+
+# Request documents: arbitrary text, lines of known keys with values that
+# are sometimes plausible and sometimes not, and whole requests.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["paper", "general", "full"]),
+    st.lists(st.integers(-1, 9), max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    _TEXT,
+)
+_LINES = st.one_of(
+    _TEXT,
+    st.tuples(st.sampled_from(["n", "b", "a", "mode", "shots", "seed"]), _VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+)
+# complete requests, some of them valid, then a few lines that may override them
+_REQUESTS = st.tuples(
+    st.integers(0, 12), st.integers(-1, 40), st.lists(st.integers(-1, 40), min_size=1, max_size=5),
+    st.sampled_from(["paper", "general", "full"]), st.lists(_LINES, max_size=3),
+).map(lambda r: "\n".join([f"n = {r[0]}", f"b = {r[1]}", "a = " + ",".join(map(str, r[2])),
+                            f"mode = {r[3]}", *r[4]]))
+_DOCUMENTS = st.one_of(_TEXT, st.lists(_LINES, max_size=8).map("\n".join), _REQUESTS)
+
+
+@given(_DOCUMENTS)
+def test_parse_request_document_returns_fields_or_rejects(text):
+    try:
+        fields = parse_request_document(text)
+    except InvalidInputError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in fields.items())
+
+
+@pytest.fixture(scope="module")
+def request_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "request.txt"
+
+
+@given(text=_DOCUMENTS)
+def test_any_input_file_ends_in_a_documented_exit_code(request_file, text):
+    request_file.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["search", "--input", str(request_file)])
+    assert code in (0, 1, 2, 3)
+    assert (code == 0) == (not err.getvalue().startswith("error:"))
+    assert "Traceback" not in err.getvalue()

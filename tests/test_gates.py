@@ -140,3 +140,18 @@ def test_comparison_gate_blocks_are_opposite_rotations(theta):
 def test_comparison_gate_inverts_with_negated_angle(theta):
     product = comparison_gate(theta).matrix @ comparison_gate(-theta).matrix
     assert np.max(np.abs(product - np.eye(8))) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: rx(0.3), lambda: hadamard(), lambda: pauli_x(3),
+                                  lambda: fourier(5)], ids=["rx", "hadamard", "pauli_x", "fourier"])
+def test_memoized_gates_are_shared_and_read_only(make):
+    gate = make()
+    assert make() is gate
+    assert not gate.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 0.0
+
+
+def test_signed_zero_angles_share_one_rotation():
+    assert rx(-0.0) is rx(0.0)
+    assert rx(-0.0).label == "RX(0)"

@@ -25,11 +25,13 @@ from qnearest import (
     StateVector,
     apply_controlled,
     build_circuit,
+    copy_gates,
     execute_circuit,
     hadamard,
     init_basis_state,
     pauli_x,
     run,
+    superposition_gates,
 )
 from qnearest.errors import CapacityError, NormDriftError
 
@@ -62,18 +64,45 @@ def _phased_shift(rng, d):
     return matrix[:, rng.permutation(d)]
 
 
+def _multiplexed_run(draw, dims):
+    """Single-control qubit X gates sharing one control site, with random
+    control digits and repeated targets, as the kernel fuses into one move;
+    sometimes a gate targeting the control site sits inside and breaks the
+    run. Empty when the layout has no qubit besides the control site."""
+    site = draw(st.integers(0, len(dims) - 1))
+    qubits = [t for t in range(len(dims)) if t != site and dims[t] == 2]
+    if not qubits:
+        return []
+    gates = [
+        CircuitGate(pauli_x(2), ((site, draw(st.integers(0, dims[site] - 1))),),
+                    draw(st.sampled_from(qubits)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    if draw(st.booleans()):
+        other = draw(st.sampled_from([s for s in range(len(dims)) if s != site]))
+        digit = draw(st.integers(0, dims[other] - 1))
+        breaker = CircuitGate(pauli_x(dims[site]), ((other, digit),), site)
+        gates.insert(draw(st.integers(0, len(gates))), breaker)
+    return gates
+
+
 @st.composite
 def random_gates(draw, dims):
-    """Random gates on a mixed-radix layout, drawn from both kernel paths.
+    """Random gates on a mixed-radix layout, drawn from every kernel path.
 
-    Each gate is a random unitary, an exact shift or a permutation with
-    phases. Some are controlled on every other site, so their block is the
-    target's own d amplitudes, and some repeat the previous gate's controls,
-    so permutations form runs that share one control mask.
+    Each gate is a random unitary, an exact shift, a permutation with
+    phases or the identity (a permutation that must not count as X). Some
+    are controlled on every other site, so their block is the target's own
+    d amplitudes, and some repeat the previous gate's controls. Some draws
+    add a multiplexed run of single-control qubit X gates instead (see
+    :func:`_multiplexed_run`).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gates = []
     for k in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            gates += _multiplexed_run(draw, dims)
+            continue
         target = draw(st.integers(0, len(dims) - 1))
         d = dims[target]
         previous = gates[-1].controls if gates else ()
@@ -84,11 +113,13 @@ def random_gates(draw, dims):
             if free and not draw(st.booleans()):
                 free = draw(st.lists(st.sampled_from(free), unique=True))
             controls = tuple((s, draw(st.integers(0, dims[s] - 1))) for s in free)
-        kind = draw(st.sampled_from(["unitary", "shift", "phased"]))
+        kind = draw(st.sampled_from(["unitary", "shift", "phased", "identity"]))
         if kind == "unitary":
             matrix = random_unitary(rng, d)
         elif kind == "shift":
             matrix = pauli_x(d).matrix
+        elif kind == "identity":
+            matrix = np.eye(d)
         else:
             matrix = _phased_shift(rng, d)
         # built with Gate, so its unitarity check still applies
@@ -190,6 +221,41 @@ def test_a_run_of_permutations_with_shared_controls_matches_the_reference():
     start = init_basis_state(layout, (0, 0, 0, 0)).amplitudes
     reference = _reference_run(start, layout.dims, circuit.gates)
     assert np.max(np.abs(execute_circuit(circuit).amplitudes - reference)) <= 1e-15
+
+
+def _digit_flips(state, gates):
+    # exact reference for X gates: flip each stored index's target digit
+    # wherever its control digits match, one gate at a time in Python ints
+    layout = state.layout
+    out = []
+    for index in state.indices.tolist():
+        digits = list(layout.unflatten(index))
+        for cg in gates:
+            if all(digits[s] == d for s, d in cg.controls):
+                digits[cg.target] ^= 1
+        out.append(layout.flatten(digits))
+    return out
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
+@given(data=st.data())
+def test_compiled_copy_stage_moves_exactly_as_the_gate_by_gate_fold(mode, data):
+    # the compiled copy stage is one multiplexed run keyed by the index digit;
+    # one move must leave the very arrays that one gate at a time leaves
+    max_bits, max_m = {Mode.PAPER: (8, 2), Mode.GENERAL: (8, 24)}[mode]
+    min_m = 2 if mode is Mode.PAPER else 1
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    layout = problem.layout
+    start = execute_circuit(Circuit(layout, (0,) * len(layout.sites),
+                                    superposition_gates(problem, layout)))
+    gates = copy_gates(problem, layout)
+    fused = execute_circuit(Circuit(layout, (0,) * len(layout.sites),
+                                    superposition_gates(problem, layout) + gates))
+    fold = _fold(start, gates)
+    assert np.array_equal(fused.indices, fold.indices)
+    assert np.array_equal(fused.values, fold.values)
+    assert fused.indices.tolist() == _digit_flips(start, gates)
 
 
 def test_exact_zeros_are_dropped_after_a_gate():

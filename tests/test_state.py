@@ -326,6 +326,19 @@ def test_inner_product_is_conjugate_linear_in_first_argument():
     assert inner_product(zero, phased) == pytest.approx(1j)
 
 
+def test_inner_product_reads_only_the_supports():
+    # a 2^62-amplitude layout: a dense vector of it could never be allocated
+    layout = make_layout(*[2] * 62)
+    zero = init_basis_state(layout, (0,) * 62)
+    plus = apply_controlled(zero, (), 0, hadamard().matrix)
+    moved = apply_controlled(plus, ((0, 1),), 61, pauli_x(2).matrix)
+    far = init_basis_state(layout, (1,) + (0,) * 60 + (1,))
+    assert inner_product(zero, moved) == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert inner_product(moved, far) == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert inner_product(moved, moved) == pytest.approx(1.0, abs=1e-15)
+    assert inner_product(zero, far) == 0.0
+
+
 def test_inner_product_requires_matching_layouts():
     with pytest.raises(InvalidInputError):
         inner_product(
