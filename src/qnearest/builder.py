@@ -275,10 +275,12 @@ def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitG
     out = []
     for j, v in enumerate(problem.a):
         branch = ((index, j),)
-        for k, bit in enumerate(value_bits(v, n)):
-            if bit:
-                controls = branch + ((arrs[j * n + k], 1),) if arrs else branch
-                out.append(CircuitGate(flip, controls, copies[k]))
+        while v:  # set bits, most significant first
+            bit = v.bit_length() - 1
+            v ^= 1 << bit
+            k = n - 1 - bit
+            controls = branch + ((arrs[j * n + k], 1),) if arrs else branch
+            out.append(CircuitGate(flip, controls, copies[k]))
     return tuple(out)
 
 

@@ -182,9 +182,12 @@ def _parse_int(value: str, name: str) -> int:
 
 
 def _parse_array(value: str) -> tuple[int, ...]:
-    items = [s.strip() for s in value.split(",") if s.strip()]
-    if not items:
+    if not value.strip():
         raise InvalidInputError("array must contain at least one value")
+    items = [s.strip() for s in value.split(",")]
+    for pos, item in enumerate(items, 1):
+        if not item:
+            raise InvalidInputError(f"array item {pos} of {len(items)} is empty")
     return tuple(_parse_int(s, "array entry") for s in items)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .builder import Mode, SearchProblem, uses_score
 from .errors import InvalidInputError
-from .state import Role, StateVector, marginal_probabilities
+from .state import Role, StateVector, _marginal_cells
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
@@ -66,14 +66,12 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
         raise InvalidInputError("state layout does not match the problem")
     index = layout.single(Role.INDEX)
     if not uses_score(problem):
-        marg = marginal_probabilities(state, (index,))
-        return IndexDistribution(
-            tuple(marg[(j,)] for j in range(problem.m)), 1.0, problem.mode
-        )
+        cells = _marginal_cells(state, (index,)).tolist()
+        return IndexDistribution(tuple(cells[: problem.m]), 1.0, problem.mode)
     score = layout.single(Role.SCORE)
-    joint = marginal_probabilities(state, (index, score))
-    keep = sum(joint[(j, 0)] for j in range(layout.dims[index]))
-    probs = tuple(joint[(j, 0)] / keep for j in range(problem.m))
+    cells = _marginal_cells(state, (index, score))[:, 0].tolist()
+    keep = sum(cells)
+    probs = tuple(p / keep for p in cells[: problem.m])
     return IndexDistribution(probs, keep, problem.mode)
 
 

@@ -7,7 +7,7 @@ most significant digit of the flattened index, so a layout with dimensions
 
 A :class:`StateVector` stores only its support: the int64 flat indices of
 its nonzero amplitudes and those amplitudes, with exact zeros dropped after
-every gate. Every circuit here is a basis state passed through controlled
+every gate or run. Every circuit here is a basis state passed through controlled
 permutations, one H or Fourier gate and controlled rotations, so a final
 state has at most 2m nonzero amplitudes however large the layout is, and a
 gate costs O(support), not O(product of dims). The dense amplitude vector
@@ -15,11 +15,23 @@ is built only when something reads :attr:`StateVector.amplitudes`.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
-and :func:`apply_controlled`. A run of qubit X gates each controlled on
-the same one site (the copy stage of a compiled circuit) is executed as
-one multiplexed index move, the rest gate by gate. It norm-checks every
-gate or fused run against a running squared norm, at ``NORM_TOLERANCE``
-and NaN-safe, and raises :class:`NormDriftError` instead of renormalizing.
+and :func:`apply_controlled`. It cuts the gate list into maximal runs of
+three kinds:
+
+- flip run: qubit X gates each controlled on the same one site (the copy
+  stage of a compiled circuit), executed as one multiplexed index move;
+- permutation: any other gate with one nonzero per row and column, which
+  moves and scales the selected entries, gate by gate;
+- fibre run: any other gates on one shared target (the comparison stage,
+  or a lone H or Fourier gate). The support is grouped once into
+  ``(d, columns)`` fibres keyed by the non-target digits, and each gate
+  multiplies the columns its controls select. No control sits on the
+  target, so the controls read only a column's key, and are evaluated
+  once per column, not once per stored entry.
+
+It norm-checks every gate (a flip run, which moves no amplitude, once)
+against a running squared norm, at ``NORM_TOLERANCE`` and NaN-safe, and
+raises :class:`NormDriftError` instead of renormalizing.
 Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
 circuit gates are built as one, and :func:`apply_controlled` wraps its raw
 matrix in one.
@@ -301,6 +313,33 @@ def _multiplexed_flip(indices: np.ndarray, dims, strides, site: int, run) -> np.
     return indices + (parity[:, targets][indices // strides[site] % dims[site]] * sign) @ steps
 
 
+def _fibre_run(indices, values, dims, strides, target, run, norm):
+    """``(indices, values, norm)`` after a run of non-permutation gates on ``target``.
+
+    One column per distinct key (an index with its target digit zeroed),
+    in sorted key order, so each gate multiplies the very columns a
+    grouping of its own selected entries would. No gate has a control on
+    the target, so a column's control digits are read from its key and
+    cannot change inside the run. Each gate is norm-checked on its own.
+    """
+    d, stride = dims[target], strides[target]
+    digit = indices // stride % d
+    keys, column = np.unique(indices - digit * stride, return_inverse=True)
+    fibres = np.zeros((d, keys.size), dtype=np.complex128)
+    fibres[digit, column] = values
+    for _, controls, _, matrix, _ in run:
+        sel = _selected(keys, dims, strides, controls)
+        old = fibres[:, sel]
+        new = matrix @ old
+        fibres[:, sel] = new
+        norm += squared_norm(new) - squared_norm(old)
+        _check_norm(norm)
+    indices = (keys + np.arange(d)[:, None] * stride).reshape(-1)
+    values = fibres.reshape(-1)
+    keep = values != 0
+    return indices[keep], values[keep], norm
+
+
 def apply_gates(
     state: StateVector,
     gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray]],
@@ -309,28 +348,34 @@ def apply_gates(
     """Apply ``(controls, target, matrix)`` gates in order to a copy of the support.
 
     Each gate touches only the stored entries whose digits match all its
-    controls, in one of three ways decided by its matrix and controls:
+    controls. Consecutive gates are cut into maximal runs, each executed
+    in one of three ways decided by its gates' matrices and controls:
 
-    - a maximal run of consecutive qubit X gates that each have exactly one
+    - flip run: consecutive qubit X gates that each have exactly one
       control, all on the same site (which, sites being valid, none of
-      them targets) is one multiplexed permutation keyed by that site's
+      them targets), are one multiplexed permutation keyed by that site's
       digit, and every stored index moves in one step (see
       :func:`_multiplexed_flip`). In compiled modes this is the whole copy
       stage;
-    - any other matrix with one nonzero per row and column (X, or any
-      permutation with phases): each selected index moves to its target
-      digit's image and its amplitude is scaled by that column's entry,
-      with no grouping (when every entry is exactly 1, only indices move);
-    - any other matrix: the selected entries are grouped by their
-      non-target digits into ``(d, groups)`` fibres, and ``matrix @
-      fibres`` (the orientation of a dense block kernel) replaces them.
+    - permutation: any other matrix with one nonzero per row and column
+      (X, or any permutation with phases), gate by gate: each selected
+      index moves to its target digit's image and its amplitude is scaled
+      by that column's entry, with no grouping (when every entry is
+      exactly 1, only indices move);
+    - fibre run: consecutive gates with any other matrix on one target
+      site share one grouping of the support into ``(d, columns)`` fibres
+      keyed by the non-target digits, and each gate replaces its selected
+      columns with ``matrix @ fibres`` (the orientation of a dense block
+      kernel; see :func:`_fibre_run`). The comparison stage is one such
+      run, and a lone H, Fourier or rotation gate is a run of one.
 
     ``norm`` is the running squared norm of the state. Each gate moves it
     by the squared norm of what it wrote minus what it read, and the total
-    must stay within ``NORM_TOLERANCE`` of 1 after every gate or fused run,
-    so drift summed over gates is caught as well as drift within one. Exact
-    zeros are dropped after every gate, so the stored count is the nonzero
-    count.
+    must stay within ``NORM_TOLERANCE`` of 1 after every gate (a flip run
+    moves no amplitude and is checked once), so drift summed over gates is
+    caught as well as drift within one. Exact zeros are dropped after
+    every permutation gate and fibre run, so the stored count is the
+    nonzero count.
 
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
     :func:`apply_controlled`) checked the sites, and
@@ -343,7 +388,8 @@ def apply_gates(
     kinds: dict[int, tuple[np.ndarray, tuple | None, bool]] = {}
 
     def keyed():
-        # a single-control qubit X is keyed by its control site, any other gate by None
+        # a flip is keyed by its control site, a fibre gate by its target,
+        # a permutation by None
         for controls, target, matrix in gates:
             kind = kinds.get(id(matrix))
             if kind is None:
@@ -351,46 +397,36 @@ def apply_gates(
                 flip = (matrix.shape[0] == 2 and permutation is not None
                         and permutation[1] is None and bool(permutation[0][0]))
                 kind = kinds[id(matrix)] = (matrix, permutation, flip)
-            site = controls[0][0] if kind[2] and len(controls) == 1 else None
-            yield site, controls, target, matrix, kind[1]
+            if kind[2] and len(controls) == 1:
+                key = ("flip", controls[0][0])
+            elif kind[1] is None:
+                key = ("fibre", target)
+            else:
+                key = None
+            yield key, controls, target, matrix, kind[1]
 
-    for site, run in groupby(keyed(), key=itemgetter(0)):
-        if site is not None:
-            indices = _multiplexed_flip(indices, dims, strides, site, run)
-            _check_norm(norm)
-            continue
-        for _, controls, target, matrix, permutation in run:
-            mask = _selected(indices, dims, strides, controls)
-            d, stride = dims[target], strides[target]
-            picked = indices[mask]
-            digit = picked // stride % d
-            zeros = False
-            if permutation is not None:
-                move, phase = permutation
+    for key, run in groupby(keyed(), key=itemgetter(0)):
+        if key is None:
+            for _, controls, target, _, (move, phase) in run:
+                mask = _selected(indices, dims, strides, controls)
+                d, stride = dims[target], strides[target]
+                picked = indices[mask]
+                digit = picked // stride % d
                 indices[mask] = picked + move[digit] * stride
                 if phase is not None:
                     old = values[mask]
                     new = old * phase[digit]
                     values[mask] = new
                     norm += squared_norm(new) - squared_norm(old)
-                    zeros = not new.all()
-            else:
-                old = values[mask]
-                keys, group = np.unique(picked - digit * stride, return_inverse=True)
-                fibres = np.zeros((d, keys.size), dtype=np.complex128)
-                fibres[digit, group] = old
-                new = matrix @ fibres
-                norm += squared_norm(new) - squared_norm(old)
-                rest = ~mask
-                indices = np.concatenate(
-                    (indices[rest], (keys + np.arange(d)[:, None] * stride).reshape(-1))
-                )
-                values = np.concatenate((values[rest], new.reshape(-1)))
-                zeros = True
+                    if not new.all():
+                        keep = values != 0
+                        indices, values = indices[keep], values[keep]
+                _check_norm(norm)
+        elif key[0] == "flip":
+            indices = _multiplexed_flip(indices, dims, strides, key[1], run)
             _check_norm(norm)
-            if zeros:
-                keep = values != 0
-                indices, values = indices[keep], values[keep]
+        else:
+            indices, values, norm = _fibre_run(indices, values, dims, strides, key[1], run, norm)
     return _frozen(layout, indices, values)
 
 
@@ -404,6 +440,12 @@ def marginal_probabilities(
     to the cell of its digits on those sites, so the cost is O(support) plus
     the number of outcomes.
     """
+    probs = _marginal_cells(state, sites)
+    return {tuple(int(v) for v in idx): float(p) for idx, p in np.ndenumerate(probs)}
+
+
+def _marginal_cells(state: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """:func:`marginal_probabilities` as an array of shape ``(dims of sites)``."""
     order = tuple(sites)
     if not order:
         raise InvalidInputError("site subset must be nonempty")
@@ -419,7 +461,7 @@ def marginal_probabilities(
     for s in order:
         cell = cell * layout.dims[s] + state.indices // layout.strides[s] % layout.dims[s]
     probs = np.bincount(cell, weights=np.abs(state.values) ** 2, minlength=math.prod(shape))
-    return {tuple(int(v) for v in idx): float(p) for idx, p in np.ndenumerate(probs.reshape(shape))}
+    return probs.reshape(shape)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -152,6 +152,17 @@ def test_invalid_inputs_exit_one(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("array, position", [("2,,6", "item 2 of 3"), ("2,6,", "item 3 of 3")])
+def test_an_empty_array_item_exits_one_naming_its_position(capsys, tmp_path, array, position):
+    # dropping the empty item would search a 2-element array instead
+    code, out, err = run_cli(capsys, "search", "--bits", "3", "--target", "5", "--array", array)
+    assert (code, out) == (1, "")
+    assert err == f"error: array {position} is empty\n"
+    path = tmp_path / "request.txt"
+    path.write_text(f"n = 3\nb = 5\na = {array}\n")
+    assert run_cli(capsys, "search", "--input", str(path)) == (1, "", err)
+
+
 def test_non_utf8_input_file_exits_one(capsys, tmp_path):
     path = tmp_path / "request.txt"
     path.write_bytes(b"\xff\xfe")

@@ -1,0 +1,75 @@
+"""Bit-identity of the exact distributions over 300 seeded requests.
+
+``tests/golden/identity.txt`` holds one line per request, ``mode n b a
+digest``, where ``digest`` is the first 16 hex digits of the SHA-256 of
+``repr(probabilities) + repr(postselect_probability)``. A kernel or
+measurement change that moves any probability by one ulp changes a digest.
+The requests are 100 per mode, drawn from fixed seeds: paper n <= 12;
+general n <= 10, m <= 70; full n <= 3, m <= 5.
+
+Regenerate (only when a change is meant to move the floats) with
+``python tests/test_identity.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from qnearest import Mode, SearchProblem, index_distribution, run
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "identity.txt"
+PER_MODE = 100
+# mode: (seed, max n, min m, max m)
+DRAWS = {Mode.PAPER: (11, 12, 2, 2), Mode.GENERAL: (12, 10, 1, 70), Mode.FULL: (13, 3, 1, 5)}
+
+
+def requests() -> list[tuple[Mode, int, int, tuple[int, ...]]]:
+    """The seeded ``(mode, n, b, a)`` requests, in file order."""
+    out = []
+    for mode, (seed, max_n, min_m, max_m) in DRAWS.items():
+        rng = random.Random(seed)
+        for _ in range(PER_MODE):
+            n = rng.randint(1, max_n)
+            m = rng.randint(min_m, max_m)
+            hi = (1 << n) - 1
+            a = tuple(rng.randint(0, hi) for _ in range(m))
+            out.append((mode, n, rng.randint(0, hi), a))
+    return out
+
+
+def digest(mode: Mode, n: int, b: int, a: tuple[int, ...]) -> str:
+    problem = SearchProblem(n, a, b, mode)
+    dist = index_distribution(run(problem), problem)
+    text = repr(dist.probabilities) + repr(dist.postselect_probability)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _line(mode: Mode, n: int, b: int, a: tuple[int, ...]) -> str:
+    return f"{mode.value} {n} {b} {','.join(map(str, a))}"
+
+
+def _golden() -> list[tuple[str, str]]:
+    rows = GOLDEN.read_text(encoding="utf-8").splitlines()
+    return [tuple(row.rsplit(" ", 1)) for row in rows if not row.startswith("#")]
+
+
+def test_the_golden_file_lists_the_seeded_requests():
+    assert [line for line, _ in _golden()] == [_line(*req) for req in requests()]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_distributions_are_bit_identical_to_the_golden_digests(mode):
+    expected = dict(_golden())
+    for req in requests():
+        if req[0] is mode:
+            assert digest(*req) == expected[_line(*req)], _line(*req)
+
+
+if __name__ == "__main__":
+    lines = ["# mode n b a sha256(repr(probabilities) + repr(postselect_probability))[:16]"]
+    lines += [f"{_line(*req)} {digest(*req)}" for req in requests()]
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -34,6 +34,7 @@ from qnearest import (
     superposition_gates,
 )
 from qnearest.errors import CapacityError, NormDriftError
+from qnearest.state import apply_gates, squared_norm
 
 
 def reference_apply(amps, dims, controls, target, matrix):
@@ -86,6 +87,29 @@ def _multiplexed_run(draw, dims):
     return gates
 
 
+def _fibre_gates(draw, rng, dims, spectator=None):
+    """Random unitaries on one shared target, as the kernel runs on one
+    grouping of the support. Each gate has no controls, random controls,
+    or, given a ``spectator`` site that reads 0 on every stored entry, a
+    control on it that matches no column (digit 1) or every column (digit
+    0) beside random ones."""
+    target = draw(st.sampled_from([s for s in range(len(dims)) if s != spectator]))
+    others = [s for s in range(len(dims)) if s not in (target, spectator)]
+    kinds = ["none", "random"] + (["never", "always"] if spectator is not None else [])
+    gates = []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        picked = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        controls = () if kind == "none" else tuple(
+            (s, draw(st.integers(0, dims[s] - 1))) for s in picked
+        )
+        if kind in ("never", "always"):
+            controls += ((spectator, int(kind == "never")),)
+        d = dims[target]
+        gates.append(CircuitGate(Gate(d, random_unitary(rng, d), f"run{k}"), controls, target))
+    return gates
+
+
 @st.composite
 def random_gates(draw, dims):
     """Random gates on a mixed-radix layout, drawn from every kernel path.
@@ -94,14 +118,19 @@ def random_gates(draw, dims):
     phases or the identity (a permutation that must not count as X). Some
     are controlled on every other site, so their block is the target's own
     d amplitudes, and some repeat the previous gate's controls. Some draws
-    add a multiplexed run of single-control qubit X gates instead (see
-    :func:`_multiplexed_run`).
+    add a multiplexed run of single-control qubit X gates (see
+    :func:`_multiplexed_run`) or a run of random unitaries on one target
+    (see :func:`_fibre_gates`) instead.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gates = []
     for k in range(draw(st.integers(1, 10))):
-        if draw(st.integers(0, 3)) == 0:
+        path = draw(st.integers(0, 5))
+        if path == 0:
             gates += _multiplexed_run(draw, dims)
+            continue
+        if path == 1:
+            gates += _fibre_gates(draw, rng, dims)
             continue
         target = draw(st.integers(0, len(dims) - 1))
         d = dims[target]
@@ -163,6 +192,26 @@ def test_apply_controlled_from_dense_states_matches_the_reference(case):
     amps = random_state(np.random.default_rng(seed), layout.total_dimension)
     out = _fold(StateVector.from_amplitudes(layout, amps), gates)
     assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
+
+
+def _kernel_tuples(gates):
+    return [(cg.controls, cg.target, cg.gate.matrix) for cg in gates]
+
+
+@given(data=st.data())
+def test_fibre_runs_match_the_reference_whatever_their_controls_select(data):
+    # the last site is a spectator qubit reading 0 on every stored entry, so
+    # a control on it selects no column or every column; the rest is dense
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))) + (2,)
+    layout = make_layout(*dims)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    gates = _fibre_gates(data.draw, rng, dims, spectator=len(dims) - 1)
+    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
+    amps[::2] = random_state(rng, layout.total_dimension // 2)
+    state = StateVector.from_amplitudes(layout, amps)
+    out = apply_gates(state, _kernel_tuples(gates), squared_norm(state.values))
+    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
+    assert out.indices.size == np.count_nonzero(out.amplitudes)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -325,6 +374,39 @@ def test_drift_summed_over_gates_raises_though_each_gate_is_within_tolerance():
         assert drift == pytest.approx(7.5e-11, rel=1e-3)
         with pytest.raises(NormDriftError):
             execute_circuit(_drifting_circuit(base, scale, 5))
+
+
+@pytest.mark.parametrize("fault", ["scaled", "nan"])
+def test_a_faulty_gate_inside_a_fibre_run_raises_before_the_next_gate(fault):
+    # five Fourier-type gates on site 1 where site 0 reads 1 share one
+    # grouping. A scaled 3rd gate is undone by the 4th, so only a check after
+    # every gate sees it; the gates are read lazily, so none after the 3rd
+    # may be read before the error
+    base = DRIFT_BASES[1]
+    run = [base.copy() for _ in range(5)]
+    if fault == "scaled":
+        run[2] = (1 + 1e-6) * base
+        run[3] = base / (1 + 1e-6)
+    else:
+        run[2][1, 1] = np.nan
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    gates = [((), 0, h)] + [(((0, 1),), 1, matrix) for matrix in run]
+    read = []
+
+    def reading():
+        for gate in gates:
+            read.append(gate)
+            yield gate
+
+    with pytest.raises(NormDriftError):
+        apply_gates(init_basis_state(make_layout(2, 3), (0, 0)), reading(), 1.0)
+    assert read[-1][2] is run[2]
+    if fault == "scaled":
+        # a check at the end of the run alone would pass
+        amps = init_basis_state(make_layout(2, 3), (0, 0)).amplitudes
+        for controls, target, matrix in gates:
+            amps = reference_apply(amps, (2, 3), controls, target, matrix)
+        assert abs(np.vdot(amps, amps).real - 1) <= 1e-14
 
 
 def test_nan_amplitudes_fail_the_norm_check():
