@@ -46,6 +46,7 @@ from .oracle import (
     sweep_table,
 )
 from .state import (
+    MultiplexedFlip,
     RegisterLayout,
     Role,
     Site,
@@ -66,6 +67,7 @@ __all__ = [
     "IndexDistribution",
     "InvalidInputError",
     "Mode",
+    "MultiplexedFlip",
     "NormDriftError",
     "OracleReport",
     "RegisterLayout",

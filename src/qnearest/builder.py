@@ -36,15 +36,19 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InvalidInputError
 from .gates import Gate, fourier, hadamard, pauli_x, rx
 from .state import (
+    MultiplexedFlip,
     RegisterLayout,
     Role,
     Site,
     StateVector,
     apply_gates,
     check_gate_sites,
+    check_multiplexed_flip,
     init_basis_state,
     squared_norm,
 )
@@ -178,26 +182,55 @@ class CircuitGate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list over a layout, starting from a fixed basis state."""
+    """Circuit over a layout, starting from a fixed basis state.
+
+    ``steps`` holds :class:`CircuitGate` entries and, for a compiled copy
+    stage, a :class:`~qnearest.state.MultiplexedFlip`; :attr:`gates` lists
+    the same circuit one gate at a time.
+    """
 
     layout: RegisterLayout
     initial_digits: tuple[int, ...]
-    gates: tuple[CircuitGate, ...]
+    steps: tuple[CircuitGate | MultiplexedFlip, ...]
 
     def __post_init__(self) -> None:
         self.layout.flatten(self.initial_digits)  # validates length and ranges
         dims = self.layout.dims
-        for cg in self.gates:
-            # the kernel trusts its sites, so every gate is checked once here
+        for step in self.steps:
+            # the kernel trusts its sites, so every step is checked once here
+            if type(step) is MultiplexedFlip:
+                try:
+                    check_multiplexed_flip(dims, step)
+                except InvalidInputError as err:
+                    raise InvalidInputError(f"multiplexed flip: {err}") from None
+                continue
             try:
-                check_gate_sites(dims, cg.controls, cg.target)
+                check_gate_sites(dims, step.controls, step.target)
             except InvalidInputError as err:
-                raise InvalidInputError(f"gate {cg.gate.label!r}: {err}") from None
-            if cg.gate.dimension != dims[cg.target]:
+                raise InvalidInputError(f"gate {step.gate.label!r}: {err}") from None
+            if step.gate.dimension != dims[step.target]:
                 raise InvalidInputError(
-                    f"gate {cg.gate.label!r}: dimension {cg.gate.dimension} does not match "
-                    f"target site dimension {dims[cg.target]}"
+                    f"gate {step.gate.label!r}: dimension {step.gate.dimension} does not match "
+                    f"target site dimension {dims[step.target]}"
                 )
+
+    @cached_property
+    def gates(self) -> tuple[CircuitGate, ...]:
+        """The steps one gate at a time, built on first read.
+
+        A multiplexed flip becomes its single-control X gates, control
+        digit by control digit, targets in site order.
+        """
+        gates: list[CircuitGate] = []
+        for step in self.steps:
+            if type(step) is MultiplexedFlip:
+                flip = pauli_x(2)
+                rows, targets = np.nonzero(step.parity)
+                gates += (CircuitGate(flip, ((step.control, c),), t)
+                          for c, t in zip(rows.tolist(), targets.tolist()))
+            else:
+                gates.append(step)
+        return tuple(gates)
 
     def dump(self) -> str:
         """Line-oriented text form, stable across runs.
@@ -261,11 +294,20 @@ def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple
     return (CircuitGate(hadamard() if d == 2 else fourier(d), (), index),)
 
 
+def _bit_table(problem: SearchProblem) -> np.ndarray:
+    """``(m, n)`` 0/1 array of each element's bits, most significant first."""
+    n = problem.n
+    values = np.asarray(problem.a, dtype=np.int64 if n < 64 else object)
+    return (values[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
     """Controlled X gates copying element j into the buffer on the index-j branch.
 
-    One gate per set bit of each element; in full mode the gate is also
-    controlled on the matching array wire, Toffoli-style.
+    One gate per set bit, element by element, most significant bit first;
+    in full mode the gate is also controlled on the matching array wire,
+    Toffoli-style. Compiled circuits run the same flips as one table (see
+    :func:`build_circuit`), so a search calls this in full mode only.
     """
     n = problem.n
     index = layout.single(Role.INDEX)
@@ -273,15 +315,27 @@ def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitG
     arrs = layout.sites_of(Role.ARRAY)
     flip = pauli_x(2)
     out = []
-    for j, v in enumerate(problem.a):
-        branch = ((index, j),)
-        while v:  # set bits, most significant first
-            bit = v.bit_length() - 1
-            v ^= 1 << bit
-            k = n - 1 - bit
-            controls = branch + ((arrs[j * n + k], 1),) if arrs else branch
-            out.append(CircuitGate(flip, controls, copies[k]))
+    for j, k in zip(*(axis.tolist() for axis in np.nonzero(_bit_table(problem)))):
+        controls = ((index, j), (arrs[j * n + k], 1)) if arrs else ((index, j),)
+        out.append(CircuitGate(flip, controls, copies[k]))
     return tuple(out)
+
+
+def _copy_stage(
+    problem: SearchProblem, layout: RegisterLayout
+) -> tuple[CircuitGate | MultiplexedFlip, ...]:
+    """The copy stage as circuit steps.
+
+    Full mode: :func:`copy_gates`, gate by gate. Compiled modes: one
+    :class:`~qnearest.state.MultiplexedFlip` on the index qudit whose row j
+    holds a 1 at each copy site where a_j has its bit set.
+    """
+    if problem.mode is Mode.FULL:
+        return copy_gates(problem, layout)
+    index = layout.single(Role.INDEX)
+    parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
+    parity[: problem.m, list(layout.sites_of(Role.COPY))] = _bit_table(problem)
+    return (MultiplexedFlip(index, parity),)
 
 
 def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
@@ -314,31 +368,38 @@ def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[Ci
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:
-    """Complete circuit for any mode: superposition, copy, then comparison."""
+    """Complete circuit for any mode: superposition, copy, then comparison.
+
+    In compiled modes the copy stage is one flip table (see
+    :func:`_copy_stage`); :attr:`Circuit.gates` still lists it gate by gate.
+    """
     layout = problem.layout
-    gates = (
+    steps = (
         superposition_gates(problem, layout)
-        + copy_gates(problem, layout)
+        + _copy_stage(problem, layout)
         + comparison_gates(problem, layout)
     )
-    return Circuit(layout, _initial_digits(problem, layout), gates)
+    return Circuit(layout, _initial_digits(problem, layout), steps)
 
 
-def _kernel_gates(gates: Sequence[CircuitGate]):
-    return ((cg.controls, cg.target, cg.gate.matrix) for cg in gates)
+def _kernel_gates(steps: Sequence[CircuitGate | MultiplexedFlip]):
+    return (
+        step if type(step) is MultiplexedFlip else (step.controls, step.target, step.gate.matrix)
+        for step in steps
+    )
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
-    """Run the circuit's gates on its basis state (squared norm 1)."""
+    """Run the circuit's steps on its basis state (squared norm 1)."""
     start = init_basis_state(circuit.layout, circuit.initial_digits)
-    return apply_gates(start, _kernel_gates(circuit.gates), 1.0)
+    return apply_gates(start, _kernel_gates(circuit.steps), 1.0)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
     """State after the loading stage: (1/sqrt(m)) sum_j |a_j> on the copy buffer, |j> on the index."""
     layout = problem.layout
-    gates = superposition_gates(problem, layout) + copy_gates(problem, layout)
-    return execute_circuit(Circuit(layout, _initial_digits(problem, layout), gates))
+    steps = superposition_gates(problem, layout) + _copy_stage(problem, layout)
+    return execute_circuit(Circuit(layout, _initial_digits(problem, layout), steps))
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:

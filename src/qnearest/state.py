@@ -15,13 +15,14 @@ is built only when something reads :attr:`StateVector.amplitudes`.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
-and :func:`apply_controlled`. It cuts the gate list into maximal runs of
-three kinds:
+and :func:`apply_controlled`. Its gate stream holds ``(controls, target,
+matrix)`` gates and :class:`MultiplexedFlip` tables, run three ways:
 
-- flip run: qubit X gates each controlled on the same one site (the copy
-  stage of a compiled circuit), executed as one multiplexed index move;
-- permutation: any other gate with one nonzero per row and column, which
-  moves and scales the selected entries, gate by gate;
+- multiplexed flip: a table of qubit flips keyed by one control site's
+  digit (the copy stage of a compiled circuit, built as a table by the
+  builder, not detected in the gate stream), executed as one index move;
+- permutation: a gate with one nonzero per row and column, which moves
+  and scales the selected entries, gate by gate;
 - fibre run: any other gates on one shared target (the comparison stage,
   or a lone H or Fourier gate). The support is grouped once into
   ``(d, columns)`` fibres keyed by the non-target digits, and each gate
@@ -29,7 +30,7 @@ three kinds:
   target, so the controls read only a column's key, and are evaluated
   once per column, not once per stored entry.
 
-It norm-checks every gate (a flip run, which moves no amplitude, once)
+It norm-checks every gate and every table (which moves no amplitude)
 against a running squared norm, at ``NORM_TOLERANCE`` and NaN-safe, and
 raises :class:`NormDriftError` instead of renormalizing.
 Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
@@ -99,9 +100,13 @@ class RegisterLayout:
         strides = [1] * len(dims)
         for i in range(len(dims) - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
+        roles: dict[Role, tuple[int, ...]] = {}
+        for i, site in enumerate(sites):
+            roles[site.role] = roles.get(site.role, ()) + (i,)
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_total", strides[0] * dims[0])
+        object.__setattr__(self, "_roles", roles)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -138,7 +143,7 @@ class RegisterLayout:
 
     def sites_of(self, role: Role) -> tuple[int, ...]:
         """Indices of all sites with the given role, in layout order."""
-        return tuple(i for i, s in enumerate(self.sites) if s.role is role)
+        return self._roles.get(role, ())  # type: ignore[attr-defined]
 
     def single(self, role: Role) -> int:
         """Index of the unique site with the given role."""
@@ -267,6 +272,53 @@ def check_gate_sites(
             )
 
 
+@dataclass(frozen=True, eq=False)
+class MultiplexedFlip:
+    """Qubit flips keyed by one control site's digit, run as one index move.
+
+    On the branch where site ``control`` reads c, every site t with
+    ``parity[c, t] == 1`` flips. It stands for the single-control X gates
+    ``((control, c),) -> t``, one per 1 in ``parity``, which commute, since
+    none targets the control site. ``parity`` is stored as a read-only copy
+    of shape ``(dims[control], number of sites)``; a circuit checks it
+    against its layout with :func:`check_multiplexed_flip`.
+    """
+
+    control: int
+    parity: np.ndarray
+
+    def __post_init__(self) -> None:
+        parity = np.array(self.parity)
+        parity.flags.writeable = False
+        object.__setattr__(self, "parity", parity)
+
+
+def check_multiplexed_flip(dims: Sequence[int], flip: MultiplexedFlip) -> None:
+    """Reject a flip table that :func:`check_gate_sites` would reject as gates.
+
+    The control site must exist, the table must have one row per control
+    digit and one 0/1 column per site, and every flipped site must be a
+    qubit other than the control site.
+    """
+    nsites = len(dims)
+    control, parity = flip.control, flip.parity
+    if not 0 <= control < nsites:
+        raise InvalidInputError(f"unknown control site {control}")
+    if parity.shape != (dims[control], nsites):
+        raise InvalidInputError(
+            f"parity table has shape {parity.shape}, expected {(dims[control], nsites)}"
+        )
+    if not ((parity == 0) | (parity == 1)).all():
+        raise InvalidInputError("parity table entries must be 0 or 1")
+    for target in np.flatnonzero(parity.any(axis=0)).tolist():
+        if target == control:
+            raise InvalidInputError(f"site {target} used more than once in controls/target")
+        if dims[target] != 2:
+            raise InvalidInputError(
+                f"flip target site {target} has dimension {dims[target]}, not 2"
+            )
+
+
 def _permutation(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(move, phase)`` if ``matrix`` has one nonzero in each row and column
     (a permutation with phases), else None.
@@ -294,23 +346,18 @@ def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
     return mask
 
 
-def _multiplexed_flip(indices: np.ndarray, dims, strides, site: int, run) -> np.ndarray:
-    """``indices`` after a run of qubit X gates, each controlled on ``site`` alone.
+def _multiplexed_flip(indices: np.ndarray, dims, strides, flip: MultiplexedFlip) -> np.ndarray:
+    """``indices`` after a :class:`MultiplexedFlip`, in one step.
 
-    No gate of the run targets ``site``, so the gates commute and the run is
-    one permutation keyed by the digit on ``site``: on the branch where it
-    reads c, target t flips once if an odd number of the run's gates with
-    control digit c target it (repeats cancel), else not at all. That
-    ``(dims[site], targets)`` parity table moves every index by ``sum_t
-    flip[c, t] * (1 - 2 * digit_t) * stride_t`` in one step.
+    An index whose control digit reads c moves by ``sum_t parity[c, t] *
+    (1 - 2 * digit_t) * stride_t`` over the flipped sites t.
     """
-    nsites = len(dims)
-    codes = [controls[0][1] * nsites + target for _, controls, target, _, _ in run]
-    parity = np.bincount(codes, minlength=dims[site] * nsites).reshape(dims[site], nsites) % 2
-    targets = np.flatnonzero(parity.any(axis=0))
+    control = flip.control
+    flips = flip.parity != 0
+    targets = np.flatnonzero(flips.any(axis=0))
     steps = np.asarray(strides, dtype=np.int64)[targets]
     sign = 1 - 2 * (indices[:, None] // steps % 2)
-    return indices + (parity[:, targets][indices // strides[site] % dims[site]] * sign) @ steps
+    return indices + (flips[:, targets][indices // strides[control] % dims[control]] * sign) @ steps
 
 
 def _fibre_run(indices, values, dims, strides, target, run, norm):
@@ -327,7 +374,7 @@ def _fibre_run(indices, values, dims, strides, target, run, norm):
     keys, column = np.unique(indices - digit * stride, return_inverse=True)
     fibres = np.zeros((d, keys.size), dtype=np.complex128)
     fibres[digit, column] = values
-    for _, controls, _, matrix, _ in run:
+    for _, (controls, _, matrix), _ in run:
         sel = _selected(keys, dims, strides, controls)
         old = fibres[:, sel]
         new = matrix @ old
@@ -342,22 +389,20 @@ def _fibre_run(indices, values, dims, strides, target, run, norm):
 
 def apply_gates(
     state: StateVector,
-    gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray]],
+    gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray] | MultiplexedFlip],
     norm: float,
 ) -> StateVector:
-    """Apply ``(controls, target, matrix)`` gates in order to a copy of the support.
+    """Apply ``(controls, target, matrix)`` gates and flip tables in order to a
+    copy of the support.
 
     Each gate touches only the stored entries whose digits match all its
-    controls. Consecutive gates are cut into maximal runs, each executed
-    in one of three ways decided by its gates' matrices and controls:
+    controls. Entries run in one of three ways:
 
-    - flip run: consecutive qubit X gates that each have exactly one
-      control, all on the same site (which, sites being valid, none of
-      them targets), are one multiplexed permutation keyed by that site's
-      digit, and every stored index moves in one step (see
-      :func:`_multiplexed_flip`). In compiled modes this is the whole copy
-      stage;
-    - permutation: any other matrix with one nonzero per row and column
+    - multiplexed flip: a :class:`MultiplexedFlip` moves every stored index
+      in one step (see :func:`_multiplexed_flip`). In compiled modes the
+      builder emits the whole copy stage as one; single-control X gates in
+      the stream are not fused, and run as permutations;
+    - permutation: a gate whose matrix has one nonzero per row and column
       (X, or any permutation with phases), gate by gate: each selected
       index moves to its target digit's image and its amplitude is scaled
       by that column's entry, with no grouping (when every entry is
@@ -371,43 +416,39 @@ def apply_gates(
 
     ``norm`` is the running squared norm of the state. Each gate moves it
     by the squared norm of what it wrote minus what it read, and the total
-    must stay within ``NORM_TOLERANCE`` of 1 after every gate (a flip run
-    moves no amplitude and is checked once), so drift summed over gates is
+    must stay within ``NORM_TOLERANCE`` of 1 after every gate and every
+    flip table (which moves no amplitude), so drift summed over gates is
     caught as well as drift within one. Exact zeros are dropped after
     every permutation gate and fibre run, so the stored count is the
     nonzero count.
 
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
-    :func:`apply_controlled`) checked the sites, and
+    :func:`apply_controlled`) checked the sites and flip tables, and
     :class:`~qnearest.gates.Gate` checked unitarity.
     """
     layout = state.layout
     dims, strides = layout.dims, layout.strides
     indices, values = state.indices.copy(), state.values.copy()
     # each distinct matrix is classified once; it is kept so that its id stays unique
-    kinds: dict[int, tuple[np.ndarray, tuple | None, bool]] = {}
+    kinds: dict[int, tuple[np.ndarray, tuple | None]] = {}
 
     def keyed():
-        # a flip is keyed by its control site, a fibre gate by its target,
-        # a permutation by None
-        for controls, target, matrix in gates:
+        # a flip table is keyed by "flip", a fibre gate by its target and a
+        # permutation by None
+        for gate in gates:
+            if type(gate) is MultiplexedFlip:
+                yield "flip", gate, None
+                continue
+            matrix = gate[2]
             kind = kinds.get(id(matrix))
             if kind is None:
-                permutation = _permutation(matrix)
-                flip = (matrix.shape[0] == 2 and permutation is not None
-                        and permutation[1] is None and bool(permutation[0][0]))
-                kind = kinds[id(matrix)] = (matrix, permutation, flip)
-            if kind[2] and len(controls) == 1:
-                key = ("flip", controls[0][0])
-            elif kind[1] is None:
-                key = ("fibre", target)
-            else:
-                key = None
-            yield key, controls, target, matrix, kind[1]
+                kind = kinds[id(matrix)] = (matrix, _permutation(matrix))
+            permutation = kind[1]
+            yield (None if permutation is not None else ("fibre", gate[1])), gate, permutation
 
     for key, run in groupby(keyed(), key=itemgetter(0)):
         if key is None:
-            for _, controls, target, _, (move, phase) in run:
+            for _, (controls, target, _), (move, phase) in run:
                 mask = _selected(indices, dims, strides, controls)
                 d, stride = dims[target], strides[target]
                 picked = indices[mask]
@@ -422,9 +463,10 @@ def apply_gates(
                         keep = values != 0
                         indices, values = indices[keep], values[keep]
                 _check_norm(norm)
-        elif key[0] == "flip":
-            indices = _multiplexed_flip(indices, dims, strides, key[1], run)
-            _check_norm(norm)
+        elif key == "flip":
+            for _, flip, _ in run:
+                indices = _multiplexed_flip(indices, dims, strides, flip)
+                _check_norm(norm)
         else:
             indices, values, norm = _fibre_run(indices, values, dims, strides, key[1], run, norm)
     return _frozen(layout, indices, values)

@@ -1,10 +1,11 @@
 """The names and values the traced benchmark run reads from ``qnearest`` still exist.
 
 ``qbench/spans.py`` wraps functions and dataclass validators by module and
-attribute name, and ``qbench/workloads.py`` calls ``SearchProblem.state_size``.
-The traced pass reads ``state.amplitudes`` of each final state, for its size
-and its nonzero count. A change in ``src`` would break the benchmark only at
-run time, so this pins those names and values here.
+attribute name, and ``qbench/workloads.py`` calls ``SearchProblem.state_size``
+and counts ``build_circuit(problem).gates``. The traced pass reads
+``state.amplitudes`` of each final state, for its size and its nonzero count.
+A change in ``src`` would break the benchmark only at run time, so this pins
+those names and values here.
 """
 
 from __future__ import annotations
@@ -15,8 +16,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from qnearest import Mode, SearchProblem, run
+from conftest import instances
+from qnearest import (
+    Circuit,
+    Mode,
+    SearchProblem,
+    build_circuit,
+    comparison_gates,
+    copy_gates,
+    run,
+    superposition_gates,
+)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "qbench" / "spans.py"
 
@@ -59,3 +71,19 @@ def test_final_state_amplitudes_are_dense_read_only_and_match_the_support(proble
     assert not amps.flags.writeable
     assert np.count_nonzero(amps) == state.indices.size
     assert np.array_equal(amps[state.indices], state.values)
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
+@given(instance=instances(max_bits=10, min_m=2, max_m=40))
+def test_compiled_circuits_list_one_gate_per_set_bit(mode, instance):
+    # the copy stage runs as one table, but the gate list (which the
+    # workload descriptor counts) and the dump stay gate by gate
+    n, a, b = instance
+    problem = SearchProblem(n, a[:2] if mode is Mode.PAPER else a, b, mode)
+    layout = problem.layout
+    circuit = build_circuit(problem)
+    compared = comparison_gates(problem, layout)
+    assert len(circuit.gates) == 1 + sum(bin(v).count("1") for v in problem.a) + len(compared)
+    gates = superposition_gates(problem, layout) + copy_gates(problem, layout) + compared
+    assert circuit.gates == gates
+    assert circuit.dump() == Circuit(layout, circuit.initial_digits, gates).dump()

@@ -13,6 +13,7 @@ from qnearest import (
     Circuit,
     CircuitGate,
     Mode,
+    MultiplexedFlip,
     Role,
     SearchProblem,
     apply_comparison_stage,
@@ -385,6 +386,49 @@ def test_circuit_rejects_a_site_used_twice_when_built(controls, target):
     layout = build_layout(paper_problem())
     with pytest.raises(InvalidInputError, match="used more than once"):
         Circuit(layout, (0, 0, 0, 0), (CircuitGate(pauli_x(2), controls, target),))
+
+
+def _flip_table(control, rows, ones, value=1):
+    # a table over general (2, (1, 2, 3))'s sites: copy0:2 copy1:2 index:3 score:2
+    parity = np.zeros((rows, 4), dtype=np.int64)
+    for c, t in ones:
+        parity[c, t] = value
+    return MultiplexedFlip(control, parity)
+
+
+def test_circuit_accepts_a_well_formed_flip_table():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    circuit = Circuit(layout, (0,) * 4, (_flip_table(2, 3, [(0, 1), (1, 0), (2, 0), (2, 1)]),))
+    assert [(cg.controls, cg.target) for cg in circuit.gates] == [
+        (((2, 0),), 1), (((2, 1),), 0), (((2, 2),), 0), (((2, 2),), 1)]
+
+
+@pytest.mark.parametrize(
+    "flip, message",
+    [
+        (_flip_table(4, 3, [(0, 0)]), "unknown control site 4"),
+        (_flip_table(3, 2, [(1, 0), (1, 3)]), "site 3 used more than once"),
+        (_flip_table(3, 2, [(1, 2)]), "target site 2 has dimension 3"),
+        (_flip_table(2, 3, [(1, 0)], value=2), "entries must be 0 or 1"),
+        (_flip_table(2, 2, [(1, 0)]), r"shape \(2, 4\), expected \(3, 4\)"),
+        (MultiplexedFlip(2, np.zeros((3, 3), dtype=np.int64)), r"expected \(3, 4\)"),
+    ],
+    ids=["control-out-of-range", "target-on-control", "non-qubit-target", "entry-not-0-or-1",
+         "wrong-row-count", "wrong-column-count"],
+)
+def test_circuit_rejects_a_malformed_flip_table(flip, message):
+    # the kernel trusts a table as it trusts a gate's sites, so building fails
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    with pytest.raises(InvalidInputError, match=f"multiplexed flip: .*{message}"):
+        Circuit(layout, (0,) * 4, (flip,))
+
+
+def test_a_flip_table_is_a_read_only_copy():
+    parity = np.zeros((3, 4), dtype=np.int64)
+    flip = MultiplexedFlip(2, parity)
+    parity[0, 0] = 1
+    assert not flip.parity.any()
+    assert not flip.parity.flags.writeable
 
 
 def test_comparison_stage_rejects_foreign_states():

@@ -21,6 +21,7 @@ from qnearest import (
     CircuitGate,
     Gate,
     Mode,
+    MultiplexedFlip,
     SearchProblem,
     StateVector,
     apply_controlled,
@@ -67,9 +68,10 @@ def _phased_shift(rng, d):
 
 def _multiplexed_run(draw, dims):
     """Single-control qubit X gates sharing one control site, with random
-    control digits and repeated targets, as the kernel fuses into one move;
-    sometimes a gate targeting the control site sits inside and breaks the
-    run. Empty when the layout has no qubit besides the control site."""
+    control digits and repeated targets, as a flip table stands for (the
+    kernel runs them gate by gate, as permutations); sometimes a gate
+    targeting the control site sits inside. Empty when the layout has no
+    qubit besides the control site."""
     site = draw(st.integers(0, len(dims) - 1))
     qubits = [t for t in range(len(dims)) if t != site and dims[t] == 2]
     if not qubits:
@@ -289,22 +291,44 @@ def _digit_flips(state, gates):
 @pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
 @given(data=st.data())
 def test_compiled_copy_stage_moves_exactly_as_the_gate_by_gate_fold(mode, data):
-    # the compiled copy stage is one multiplexed run keyed by the index digit;
-    # one move must leave the very arrays that one gate at a time leaves
+    # the compiled copy stage is one flip table keyed by the index digit;
+    # its one move must leave the very arrays that its gates, one at a time, leave
     max_bits, max_m = {Mode.PAPER: (8, 2), Mode.GENERAL: (8, 24)}[mode]
     min_m = 2 if mode is Mode.PAPER else 1
     n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
     problem = SearchProblem(n, a, b, mode)
     layout = problem.layout
-    start = execute_circuit(Circuit(layout, (0,) * len(layout.sites),
-                                    superposition_gates(problem, layout)))
+    digits = (0,) * len(layout.sites)
+    superposition = superposition_gates(problem, layout)
+    (table,) = [s for s in build_circuit(problem).steps if type(s) is MultiplexedFlip]
+    start = execute_circuit(Circuit(layout, digits, superposition))
+    fused = execute_circuit(Circuit(layout, digits, superposition + (table,)))
     gates = copy_gates(problem, layout)
-    fused = execute_circuit(Circuit(layout, (0,) * len(layout.sites),
-                                    superposition_gates(problem, layout) + gates))
+    assert Circuit(layout, digits, (table,)).gates == gates
     fold = _fold(start, gates)
     assert np.array_equal(fused.indices, fold.indices)
     assert np.array_equal(fused.values, fold.values)
     assert fused.indices.tolist() == _digit_flips(start, gates)
+
+
+@given(data=st.data())
+def test_a_flip_table_moves_a_dense_state_as_its_gates_do(data):
+    # every digit combination is stored, so each flip meets both target
+    # digits; the table must move amplitudes exactly as its X gates do
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
+    control = data.draw(st.integers(0, len(dims) - 1))
+    qubits = [t for t in range(len(dims)) if t != control and dims[t] == 2]
+    parity = np.zeros((dims[control], len(dims)), dtype=np.uint8)
+    for c in range(dims[control]):
+        parity[c, data.draw(st.lists(st.sampled_from(qubits), unique=True)) if qubits else []] = 1
+    layout = make_layout(*dims)
+    flip = MultiplexedFlip(control, parity)
+    gates = Circuit(layout, (0,) * len(dims), (flip,)).gates
+    amps = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                        layout.total_dimension)
+    out = apply_gates(StateVector.from_amplitudes(layout, amps), [flip], 1.0)
+    assert len(gates) == np.count_nonzero(parity)
+    assert np.array_equal(out.amplitudes, _reference_run(amps, dims, gates))
 
 
 def test_exact_zeros_are_dropped_after_a_gate():
@@ -407,6 +431,16 @@ def test_a_faulty_gate_inside_a_fibre_run_raises_before_the_next_gate(fault):
         for controls, target, matrix in gates:
             amps = reference_apply(amps, (2, 3), controls, target, matrix)
         assert abs(np.vdot(amps, amps).real - 1) <= 1e-14
+
+
+def test_a_flip_table_checks_the_running_norm():
+    # a table moves no amplitude, but the norm it is handed is still checked
+    layout = make_layout(3, 2)
+    flip = MultiplexedFlip(0, np.array([[0, 1], [0, 0], [0, 1]]))
+    state = init_basis_state(layout, (2, 0))
+    assert apply_gates(state, [flip], 1.0).indices.tolist() == [layout.flatten((2, 1))]
+    with pytest.raises(NormDriftError):
+        apply_gates(state, [flip], 1 + 1e-6)
 
 
 def test_nan_amplitudes_fail_the_norm_check():
