@@ -47,6 +47,7 @@ from .oracle import (
 )
 from .state import (
     MultiplexedFlip,
+    MultiplexedRotation,
     RegisterLayout,
     Role,
     Site,
@@ -68,6 +69,7 @@ __all__ = [
     "InvalidInputError",
     "Mode",
     "MultiplexedFlip",
+    "MultiplexedRotation",
     "NormDriftError",
     "OracleReport",
     "RegisterLayout",

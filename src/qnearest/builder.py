@@ -39,9 +39,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .gates import Gate, fourier, hadamard, pauli_x, rx
+from .gates import fourier, hadamard, pauli_x, rx
 from .state import (
+    CircuitGate,
     MultiplexedFlip,
+    MultiplexedRotation,
     RegisterLayout,
     Role,
     Site,
@@ -49,6 +51,7 @@ from .state import (
     apply_gates,
     check_gate_sites,
     check_multiplexed_flip,
+    check_multiplexed_rotation,
     init_basis_state,
     squared_norm,
 )
@@ -173,11 +176,11 @@ def _signed_weight(reference_bit: int, weight: float) -> float:
     return weight if reference_bit else -weight
 
 
-@dataclass(frozen=True)
-class CircuitGate:
-    gate: Gate
-    controls: tuple[tuple[int, int], ...]
-    target: int
+# each table type's name in error messages and its check against a layout
+_TABLE_CHECKS = {
+    MultiplexedFlip: ("multiplexed flip", check_multiplexed_flip),
+    MultiplexedRotation: ("multiplexed rotation", check_multiplexed_rotation),
+}
 
 
 @dataclass(frozen=True)
@@ -185,24 +188,27 @@ class Circuit:
     """Circuit over a layout, starting from a fixed basis state.
 
     ``steps`` holds :class:`CircuitGate` entries and, for a compiled copy
-    stage, a :class:`~qnearest.state.MultiplexedFlip`; :attr:`gates` lists
-    the same circuit one gate at a time.
+    and comparison stage, a :class:`~qnearest.state.MultiplexedFlip` and a
+    :class:`~qnearest.state.MultiplexedRotation`; :attr:`gates` lists the
+    same circuit one gate at a time.
     """
 
     layout: RegisterLayout
     initial_digits: tuple[int, ...]
-    steps: tuple[CircuitGate | MultiplexedFlip, ...]
+    steps: tuple[CircuitGate | MultiplexedFlip | MultiplexedRotation, ...]
 
     def __post_init__(self) -> None:
         self.layout.flatten(self.initial_digits)  # validates length and ranges
         dims = self.layout.dims
         for step in self.steps:
             # the kernel trusts its sites, so every step is checked once here
-            if type(step) is MultiplexedFlip:
+            table = _TABLE_CHECKS.get(type(step))
+            if table is not None:
+                name, check = table
                 try:
-                    check_multiplexed_flip(dims, step)
+                    check(dims, step)
                 except InvalidInputError as err:
-                    raise InvalidInputError(f"multiplexed flip: {err}") from None
+                    raise InvalidInputError(f"{name}: {err}") from None
                 continue
             try:
                 check_gate_sites(dims, step.controls, step.target)
@@ -219,7 +225,8 @@ class Circuit:
         """The steps one gate at a time, built on first read.
 
         A multiplexed flip becomes its single-control X gates, control
-        digit by control digit, targets in site order.
+        digit by control digit, targets in site order; a multiplexed
+        rotation becomes one single-control ``rx`` gate per row, in row order.
         """
         gates: list[CircuitGate] = []
         for step in self.steps:
@@ -228,6 +235,9 @@ class Circuit:
                 rows, targets = np.nonzero(step.parity)
                 gates += (CircuitGate(flip, ((step.control, c),), t)
                           for c, t in zip(rows.tolist(), targets.tolist()))
+            elif type(step) is MultiplexedRotation:
+                gates += (CircuitGate(rx(angle), (control,), step.target)
+                          for control, angle in zip(step.controls, step.angles.tolist()))
             else:
                 gates.append(step)
         return tuple(gates)
@@ -338,61 +348,85 @@ def _copy_stage(
     return (MultiplexedFlip(index, parity),)
 
 
+def _comparison_rows(problem: SearchProblem) -> list[tuple[int, int, float]]:
+    """``(k, b's bit k, signed weight)`` for each bit k where some element differs from b.
+
+    Bits where every element matches b are skipped because a rotation on
+    them could never fire.
+    """
+    n = problem.n
+    weights = rotation_schedule(n).weights
+    b_bits = value_bits(problem.b, n)
+    # bit k is set where some element differs from b at bit k
+    differs = value_bits(reduce(or_, (v ^ problem.b for v in problem.a)), n)
+    return [(k, b_bits[k], _signed_weight(b_bits[k], weights[k])) for k in range(n) if differs[k]]
+
+
+def _comparison_target(problem: SearchProblem, layout: RegisterLayout) -> int:
+    return layout.single(Role.SCORE) if uses_score(problem) else layout.single(Role.INDEX)
+
+
 def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
     """One controlled rotation per bit position where some element differs from b.
 
     The control requires the copy bit to differ from b's bit; in full mode
     the reference wire is a further control, so the rotation stays
-    conditioned on the loaded reference value rather than baked in. Bits
-    where every element matches b are skipped because the gate could never
-    fire.
+    conditioned on the loaded reference value rather than baked in.
+    Compiled circuits run the same rotations as one table (see
+    :func:`build_circuit`), so a search calls this in full mode only.
     """
-    n = problem.n
-    weights = rotation_schedule(n).weights
     copies = layout.sites_of(Role.COPY)
     refs = layout.sites_of(Role.REFERENCE)
-    target = layout.single(Role.SCORE) if uses_score(problem) else layout.single(Role.INDEX)
-    b_bits = value_bits(problem.b, n)
-    # bit k is set where some element differs from b at bit k
-    differs = value_bits(reduce(or_, (v ^ problem.b for v in problem.a)), n)
+    target = _comparison_target(problem, layout)
     out = []
-    for k in range(n):
-        if not differs[k]:
-            continue
-        b_k = b_bits[k]
-        controls = [(copies[k], 1 - b_k)]
-        if refs:
-            controls.insert(0, (refs[k], b_k))
-        out.append(CircuitGate(rx(_signed_weight(b_k, weights[k])), tuple(controls), target))
+    for k, b_k, angle in _comparison_rows(problem):
+        controls = ((refs[k], b_k),) if refs else ()
+        out.append(CircuitGate(rx(angle), controls + ((copies[k], 1 - b_k),), target))
     return tuple(out)
+
+
+def _comparison_stage(
+    problem: SearchProblem, layout: RegisterLayout
+) -> tuple[CircuitGate | MultiplexedRotation, ...]:
+    """The comparison stage as circuit steps.
+
+    Full mode: :func:`comparison_gates`, gate by gate. Compiled modes: one
+    :class:`~qnearest.state.MultiplexedRotation` on the score (or index)
+    qubit with one row per bit where some element differs from b, or no
+    step when none does.
+    """
+    if problem.mode is Mode.FULL:
+        return comparison_gates(problem, layout)
+    rows = _comparison_rows(problem)
+    if not rows:
+        return ()
+    copies = layout.sites_of(Role.COPY)
+    controls = tuple((copies[k], 1 - b_k) for k, b_k, _ in rows)
+    return (MultiplexedRotation(_comparison_target(problem, layout), controls,
+                                [angle for _, _, angle in rows]),)
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:
     """Complete circuit for any mode: superposition, copy, then comparison.
 
     In compiled modes the copy stage is one flip table (see
-    :func:`_copy_stage`); :attr:`Circuit.gates` still lists it gate by gate.
+    :func:`_copy_stage`) and the comparison stage one rotation table (see
+    :func:`_comparison_stage`); :attr:`Circuit.gates` still lists both
+    gate by gate.
     """
     layout = problem.layout
     steps = (
         superposition_gates(problem, layout)
         + _copy_stage(problem, layout)
-        + comparison_gates(problem, layout)
+        + _comparison_stage(problem, layout)
     )
     return Circuit(layout, _initial_digits(problem, layout), steps)
-
-
-def _kernel_gates(steps: Sequence[CircuitGate | MultiplexedFlip]):
-    return (
-        step if type(step) is MultiplexedFlip else (step.controls, step.target, step.gate.matrix)
-        for step in steps
-    )
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
     """Run the circuit's steps on its basis state (squared norm 1)."""
     start = init_basis_state(circuit.layout, circuit.initial_digits)
-    return apply_gates(start, _kernel_gates(circuit.steps), 1.0)
+    return apply_gates(start, circuit.steps, 1.0)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
@@ -403,12 +437,16 @@ def load_superposition(problem: SearchProblem) -> StateVector:
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:
-    """Apply the bit-weighted comparison rotations to a loaded state."""
+    """Apply the bit-weighted comparison rotations to a loaded state.
+
+    The rotations run as the comparison step :func:`build_circuit` emits,
+    so ``apply_comparison_stage(load_superposition(p), p)`` equals
+    ``run(p)`` bit for bit.
+    """
     layout = problem.layout
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
-    gates = comparison_gates(problem, layout)
-    return apply_gates(state, _kernel_gates(gates), squared_norm(state.values))
+    return apply_gates(state, _comparison_stage(problem, layout), squared_norm(state.values))
 
 
 def run(problem: SearchProblem) -> StateVector:

@@ -6,14 +6,15 @@ can audit entries directly instead of trusting composed behavior.
 :func:`rx`, :func:`hadamard`, :func:`pauli_x` and :func:`fourier` are
 memoized: equal arguments return the same :class:`Gate`, built and checked
 once. A ``Gate`` is frozen and its matrix read-only, so one instance is
-safely shared by every circuit and caller.
+safely shared by every circuit and caller, and what the kernel reads off
+its matrix (:attr:`Gate.permutation`) is worked out once per instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,6 +47,27 @@ class Gate:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+
+    @cached_property
+    def permutation(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """``(move, phase)`` if the matrix has one nonzero in each row and
+        column (a permutation with phases), else None; computed on first read.
+
+        Column k sends digit k to digit ``k + move[k]``, times ``phase[k]``;
+        ``phase`` is None when every nonzero is exactly 1.
+        """
+        matrix, d = self.matrix, self.dimension
+        if np.count_nonzero(matrix) != d:  # cheaper than listing a dense matrix's nonzeros
+            return None
+        rows, cols = np.nonzero(matrix)  # in row-major order, so ``rows`` is sorted
+        if rows.tolist() != list(range(d)) or sorted(cols.tolist()) != list(range(d)):
+            return None
+        move = np.empty(d, dtype=np.int64)
+        move[cols] = rows - cols
+        phase = np.empty(d, dtype=np.complex128)
+        phase[cols] = matrix[rows, cols]
+        move.flags.writeable = phase.flags.writeable = False
+        return move, None if (phase == 1).all() else phase
 
 
 def _require_finite(theta: float) -> float:

@@ -15,27 +15,34 @@ is built only when something reads :attr:`StateVector.amplitudes`.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
-and :func:`apply_controlled`. Its gate stream holds ``(controls, target,
-matrix)`` gates and :class:`MultiplexedFlip` tables, run three ways:
+and :func:`apply_controlled`. Its step stream holds :class:`CircuitGate`
+gates and two kinds of table, run four ways:
 
 - multiplexed flip: a table of qubit flips keyed by one control site's
   digit (the copy stage of a compiled circuit, built as a table by the
   builder, not detected in the gate stream), executed as one index move;
+- multiplexed rotation: a table of single-control X rotations of one
+  qubit (the comparison stage of a compiled circuit, likewise built by
+  the builder). The rotations commute, so each column of a
+  ``(2, columns)`` fibre grouping turns once, by the summed angle of the
+  rows its key selects;
 - permutation: a gate with one nonzero per row and column, which moves
   and scales the selected entries, gate by gate;
-- fibre run: any other gates on one shared target (the comparison stage,
-  or a lone H or Fourier gate). The support is grouped once into
-  ``(d, columns)`` fibres keyed by the non-target digits, and each gate
-  multiplies the columns its controls select. No control sits on the
-  target, so the controls read only a column's key, and are evaluated
-  once per column, not once per stored entry.
+- fibre run: any other gates on one shared target (full mode's
+  comparison stage, or a lone H or Fourier gate). The support is grouped
+  once into ``(d, columns)`` fibres keyed by the non-target digits, and
+  each gate multiplies the columns its controls select. No control sits
+  on the target, so the controls read only a column's key, and are
+  evaluated once per column, not once per stored entry. From a basis
+  state, an uncontrolled gate writes one column of its matrix instead.
 
-It norm-checks every gate and every table (which moves no amplitude)
-against a running squared norm, at ``NORM_TOLERANCE`` and NaN-safe, and
-raises :class:`NormDriftError` instead of renormalizing.
+It norm-checks every gate and every table (a flip table moves no
+amplitude) against a running squared norm, at ``NORM_TOLERANCE`` and
+NaN-safe, and raises :class:`NormDriftError` instead of renormalizing.
 Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
 circuit gates are built as one, and :func:`apply_controlled` wraps its raw
-matrix in one.
+matrix in one. Each ``Gate`` works out once whether its matrix is a
+permutation (:attr:`~qnearest.gates.Gate.permutation`).
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -226,6 +232,16 @@ def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVect
     return _frozen(layout, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128))
 
 
+@dataclass(frozen=True)
+class CircuitGate:
+    """A :class:`~qnearest.gates.Gate` on site ``target``, applied wherever
+    every ``(site, digit)`` pair in ``controls`` matches."""
+
+    gate: Gate
+    controls: tuple[tuple[int, int], ...]
+    target: int
+
+
 def apply_controlled(
     state: StateVector,
     controls: Sequence[tuple[int, int]],
@@ -243,9 +259,10 @@ def apply_controlled(
     the running norm starts from the input's measured squared norm.
     """
     layout = state.layout
+    controls = tuple(controls)
     check_gate_sites(layout.dims, controls, target)
     gate = Gate(layout.dims[target], matrix, "matrix")
-    return apply_gates(state, [(tuple(controls), target, gate.matrix)], squared_norm(state.values))
+    return apply_gates(state, [CircuitGate(gate, controls, target)], squared_norm(state.values))
 
 
 def check_gate_sites(
@@ -319,24 +336,52 @@ def check_multiplexed_flip(dims: Sequence[int], flip: MultiplexedFlip) -> None:
             )
 
 
-def _permutation(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """``(move, phase)`` if ``matrix`` has one nonzero in each row and column
-    (a permutation with phases), else None.
+@dataclass(frozen=True, eq=False)
+class MultiplexedRotation:
+    """X rotations of one qubit, one per ``(site, digit)`` control, run as one step.
 
-    Column k sends digit k to digit ``k + move[k]``, times ``phase[k]``;
-    ``phase`` is None when every nonzero is exactly 1.
+    Row r turns qubit ``target`` by ``angles[r]`` about X wherever site
+    ``controls[r][0]`` reads ``controls[r][1]``. It stands for the gates
+    ``rx(angles[r])`` on ``((site, digit),) -> target``, row by row. They
+    commute, since all are X rotations of one qubit and no control sits on
+    it, so on each branch their angles add. ``angles`` is stored as a
+    read-only float copy; a circuit checks the table against its layout
+    with :func:`check_multiplexed_rotation`.
     """
-    d = matrix.shape[0]
-    if np.count_nonzero(matrix) != d:  # cheaper than listing a dense matrix's nonzeros
-        return None
-    rows, cols = np.nonzero(matrix)  # in row-major order, so ``rows`` is sorted
-    if rows.tolist() != list(range(d)) or sorted(cols.tolist()) != list(range(d)):
-        return None
-    move = np.empty(d, dtype=np.int64)
-    move[cols] = rows - cols
-    phase = np.empty(d, dtype=np.complex128)
-    phase[cols] = matrix[rows, cols]
-    return move, None if (phase == 1).all() else phase
+
+    target: int
+    controls: tuple[tuple[int, int], ...]
+    angles: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "controls", tuple(map(tuple, self.controls)))
+        angles = np.array(self.angles, dtype=np.float64)
+        angles.flags.writeable = False
+        object.__setattr__(self, "angles", angles)
+
+
+def check_multiplexed_rotation(dims: Sequence[int], rotation: MultiplexedRotation) -> None:
+    """Reject a rotation table that its gates would fail as circuit gates.
+
+    The target must be a qubit, every angle finite, with one angle per
+    control, and each row's control must pass :func:`check_gate_sites`
+    with the target: a known site other than the target, read at a digit
+    in range.
+    """
+    target, controls, angles = rotation.target, rotation.controls, rotation.angles
+    check_gate_sites(dims, (), target)
+    if dims[target] != 2:
+        raise InvalidInputError(
+            f"rotation target site {target} has dimension {dims[target]}, not 2"
+        )
+    if angles.shape != (len(controls),):
+        raise InvalidInputError(
+            f"angles have shape {angles.shape}, expected {(len(controls),)}"
+        )
+    if not np.isfinite(angles).all():
+        raise InvalidInputError("angles must be finite")
+    for control in controls:
+        check_gate_sites(dims, (control,), target)
 
 
 def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
@@ -360,97 +405,156 @@ def _multiplexed_flip(indices: np.ndarray, dims, strides, flip: MultiplexedFlip)
     return indices + (flips[:, targets][indices // strides[control] % dims[control]] * sign) @ steps
 
 
-def _fibre_run(indices, values, dims, strides, target, run, norm):
-    """``(indices, values, norm)`` after a run of non-permutation gates on ``target``.
+def _fibres(indices: np.ndarray, values: np.ndarray, d: int, stride: int):
+    """``(keys, fibres)``: the support grouped into ``(d, columns)`` fibres.
 
     One column per distinct key (an index with its target digit zeroed),
-    in sorted key order, so each gate multiplies the very columns a
-    grouping of its own selected entries would. No gate has a control on
-    the target, so a column's control digits are read from its key and
-    cannot change inside the run. Each gate is norm-checked on its own.
+    in sorted key order; a row is a target digit, and unstored entries are 0.
     """
-    d, stride = dims[target], strides[target]
     digit = indices // stride % d
     keys, column = np.unique(indices - digit * stride, return_inverse=True)
     fibres = np.zeros((d, keys.size), dtype=np.complex128)
     fibres[digit, column] = values
-    for _, (controls, _, matrix), _ in run:
-        sel = _selected(keys, dims, strides, controls)
-        old = fibres[:, sel]
-        new = matrix @ old
-        fibres[:, sel] = new
-        norm += squared_norm(new) - squared_norm(old)
-        _check_norm(norm)
-    indices = (keys + np.arange(d)[:, None] * stride).reshape(-1)
+    return keys, fibres
+
+
+def _unfibred(keys: np.ndarray, fibres: np.ndarray, stride: int):
+    """``(indices, values)`` of the nonzero entries of :func:`_fibres`' grouping."""
+    indices = (keys + np.arange(fibres.shape[0])[:, None] * stride).reshape(-1)
     values = fibres.reshape(-1)
     keep = values != 0
-    return indices[keep], values[keep], norm
+    return indices[keep], values[keep]
+
+
+def _fibre_run(indices, values, dims, strides, target, run, norm):
+    """``(indices, values, norm)`` after a run of non-permutation gates on ``target``.
+
+    The support is grouped once (:func:`_fibres`), so each gate multiplies
+    the very columns a grouping of its own selected entries would. No gate
+    has a control on the target, so a column's control digits are read from
+    its key and cannot change inside the run. A gate with no controls that
+    meets a one-entry support (a basis state) writes that entry's value
+    times one column of its matrix, with no grouping. Each gate is
+    norm-checked on its own.
+    """
+    d, stride = dims[target], strides[target]
+    fibres = None
+    for step in run:
+        controls, matrix = step.controls, step.gate.matrix
+        if fibres is None and indices.size == 1 and not controls:
+            digit = indices[0] // stride % d
+            new = matrix[:, digit] * values[0]
+            norm += squared_norm(new) - squared_norm(values)
+            keep = new != 0
+            indices, values = (indices[0] + (np.arange(d) - digit) * stride)[keep], new[keep]
+        else:
+            if fibres is None:
+                keys, fibres = _fibres(indices, values, d, stride)
+            sel = _selected(keys, dims, strides, controls)
+            old = fibres[:, sel]
+            new = matrix @ old
+            fibres[:, sel] = new
+            norm += squared_norm(new) - squared_norm(old)
+        _check_norm(norm)
+    if fibres is not None:
+        indices, values = _unfibred(keys, fibres, stride)
+    return indices, values, norm
+
+
+def _multiplexed_rotation(indices, values, dims, strides, rotation: MultiplexedRotation, norm):
+    """``(indices, values, norm)`` after a :class:`MultiplexedRotation`, in one step.
+
+    The support is grouped once into ``(2, columns)`` fibres on the target
+    (:func:`_fibres`). A column's net angle is the sum of the angles of the
+    rows whose control its key matches, and the column turns once, by
+    ``[[cos, -i sin], [-i sin, cos]]`` of half that angle. The table is
+    norm-checked once.
+    """
+    stride = strides[rotation.target]
+    keys, fibres = _fibres(indices, values, 2, stride)
+    steps, radices, digits = np.array(
+        [(strides[site], dims[site], digit) for site, digit in rotation.controls], dtype=np.int64
+    ).reshape(-1, 3).T
+    selected = keys[:, None] // steps % radices == digits
+    half = selected @ rotation.angles / 2
+    turned = np.cos(half) * fibres + -1j * np.sin(half) * fibres[::-1]
+    norm += squared_norm(turned) - squared_norm(values)
+    _check_norm(norm)
+    return (*_unfibred(keys, turned, stride), norm)
+
+
+def _step_kind(step) -> type | int | None:
+    # a table is keyed by its type, a permutation gate by None, and any other
+    # gate by its target, so that consecutive ones on one target form a fibre run
+    if type(step) is CircuitGate:
+        return None if step.gate.permutation is not None else step.target
+    return type(step)
 
 
 def apply_gates(
     state: StateVector,
-    gates: Iterable[tuple[Sequence[tuple[int, int]], int, np.ndarray] | MultiplexedFlip],
+    steps: Iterable[CircuitGate | MultiplexedFlip | MultiplexedRotation],
     norm: float,
 ) -> StateVector:
-    """Apply ``(controls, target, matrix)`` gates and flip tables in order to a
-    copy of the support.
+    """Apply gates and tables in order to a copy of the support.
 
     Each gate touches only the stored entries whose digits match all its
-    controls. Entries run in one of three ways:
+    controls. Steps run in one of four ways:
 
     - multiplexed flip: a :class:`MultiplexedFlip` moves every stored index
       in one step (see :func:`_multiplexed_flip`). In compiled modes the
       builder emits the whole copy stage as one; single-control X gates in
       the stream are not fused, and run as permutations;
+    - multiplexed rotation: a :class:`MultiplexedRotation` groups the
+      support once into ``(2, columns)`` fibres on its target and turns
+      each column once, by the summed angle of the rows its key selects
+      (see :func:`_multiplexed_rotation`). In compiled modes the builder
+      emits the whole comparison stage as one;
     - permutation: a gate whose matrix has one nonzero per row and column
-      (X, or any permutation with phases), gate by gate: each selected
-      index moves to its target digit's image and its amplitude is scaled
-      by that column's entry, with no grouping (when every entry is
-      exactly 1, only indices move);
+      (X, or any permutation with phases; see
+      :attr:`~qnearest.gates.Gate.permutation`, worked out once per
+      ``Gate``), gate by gate: each selected index moves to its target
+      digit's image and its amplitude is scaled by that column's entry,
+      with no grouping (when every entry is exactly 1, only indices move);
     - fibre run: consecutive gates with any other matrix on one target
       site share one grouping of the support into ``(d, columns)`` fibres
       keyed by the non-target digits, and each gate replaces its selected
       columns with ``matrix @ fibres`` (the orientation of a dense block
-      kernel; see :func:`_fibre_run`). The comparison stage is one such
-      run, and a lone H, Fourier or rotation gate is a run of one.
+      kernel; see :func:`_fibre_run`). A lone H, Fourier or rotation gate
+      is a run of one; from a basis state, an uncontrolled one (the
+      superposition stage) writes one column of its matrix. Full mode's
+      comparison stage is one such run.
 
-    ``norm`` is the running squared norm of the state. Each gate moves it
-    by the squared norm of what it wrote minus what it read, and the total
-    must stay within ``NORM_TOLERANCE`` of 1 after every gate and every
-    flip table (which moves no amplitude), so drift summed over gates is
-    caught as well as drift within one. Exact zeros are dropped after
-    every permutation gate and fibre run, so the stored count is the
-    nonzero count.
+    ``norm`` is the running squared norm of the state. Each gate and each
+    rotation table moves it by the squared norm of what it wrote minus what
+    it read, and the total must stay within ``NORM_TOLERANCE`` of 1 after
+    every gate and every table (a flip table moves no amplitude), so drift
+    summed over gates is caught as well as drift within one. Exact zeros
+    are dropped after every permutation gate, rotation table and fibre run,
+    so the stored count is the nonzero count.
 
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
-    :func:`apply_controlled`) checked the sites and flip tables, and
+    :func:`apply_controlled`) checked the sites and tables, and
     :class:`~qnearest.gates.Gate` checked unitarity.
     """
     layout = state.layout
     dims, strides = layout.dims, layout.strides
     indices, values = state.indices.copy(), state.values.copy()
-    # each distinct matrix is classified once; it is kept so that its id stays unique
-    kinds: dict[int, tuple[np.ndarray, tuple | None]] = {}
-
-    def keyed():
-        # a flip table is keyed by "flip", a fibre gate by its target and a
-        # permutation by None
-        for gate in gates:
-            if type(gate) is MultiplexedFlip:
-                yield "flip", gate, None
-                continue
-            matrix = gate[2]
-            kind = kinds.get(id(matrix))
-            if kind is None:
-                kind = kinds[id(matrix)] = (matrix, _permutation(matrix))
-            permutation = kind[1]
-            yield (None if permutation is not None else ("fibre", gate[1])), gate, permutation
-
-    for key, run in groupby(keyed(), key=itemgetter(0)):
-        if key is None:
-            for _, (controls, target, _), (move, phase) in run:
-                mask = _selected(indices, dims, strides, controls)
-                d, stride = dims[target], strides[target]
+    for kind, run in groupby(steps, key=_step_kind):
+        if kind is MultiplexedFlip:
+            for flip in run:
+                indices = _multiplexed_flip(indices, dims, strides, flip)
+                _check_norm(norm)
+        elif kind is MultiplexedRotation:
+            for rotation in run:
+                indices, values, norm = _multiplexed_rotation(
+                    indices, values, dims, strides, rotation, norm
+                )
+        elif kind is None:
+            for step in run:
+                move, phase = step.gate.permutation
+                mask = _selected(indices, dims, strides, step.controls)
+                d, stride = dims[step.target], strides[step.target]
                 picked = indices[mask]
                 digit = picked // stride % d
                 indices[mask] = picked + move[digit] * stride
@@ -463,12 +567,8 @@ def apply_gates(
                         keep = values != 0
                         indices, values = indices[keep], values[keep]
                 _check_norm(norm)
-        elif key == "flip":
-            for _, flip, _ in run:
-                indices = _multiplexed_flip(indices, dims, strides, flip)
-                _check_norm(norm)
         else:
-            indices, values, norm = _fibre_run(indices, values, dims, strides, key[1], run, norm)
+            indices, values, norm = _fibre_run(indices, values, dims, strides, kind, run, norm)
     return _frozen(layout, indices, values)
 
 

@@ -10,8 +10,10 @@ those names and values here.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +89,30 @@ def test_compiled_circuits_list_one_gate_per_set_bit(mode, instance):
     gates = superposition_gates(problem, layout) + copy_gates(problem, layout) + compared
     assert circuit.gates == gates
     assert circuit.dump() == Circuit(layout, circuit.initial_digits, gates).dump()
+
+
+# SHA-256 over 500 seeded paper and general requests of each circuit's gate
+# count and dump(), written before the comparison stage was compiled into a
+# table: the tables must list, count and print as the gates they replaced
+DUMP_DIGEST = "c676ed65a92402fd40a5f42e1ad88ddc2ada2a9088e263c5a81dd8e5027b23a0"
+
+
+def _seeded_compiled_problems(count, seed=21):
+    rng = random.Random(seed)
+    problems = []
+    for i in range(count):
+        mode = (Mode.PAPER, Mode.GENERAL)[i % 2]
+        n = rng.randint(1, 14 if mode is Mode.PAPER else 12)
+        m = 2 if mode is Mode.PAPER else rng.randint(1, 90)
+        hi = (1 << n) - 1
+        a = tuple(rng.randint(0, hi) for _ in range(m))
+        problems.append(SearchProblem(n, a, rng.randint(0, hi), mode))
+    return problems
+
+
+def test_compiled_gate_counts_and_dumps_are_pinned():
+    digest = hashlib.sha256()
+    for problem in _seeded_compiled_problems(500):
+        circuit = build_circuit(problem)
+        digest.update(f"{len(circuit.gates)}\n{circuit.dump()}".encode())
+    assert digest.hexdigest() == DUMP_DIGEST

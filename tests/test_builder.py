@@ -14,6 +14,7 @@ from qnearest import (
     CircuitGate,
     Mode,
     MultiplexedFlip,
+    MultiplexedRotation,
     Role,
     SearchProblem,
     apply_comparison_stage,
@@ -429,6 +430,64 @@ def test_a_flip_table_is_a_read_only_copy():
     parity[0, 0] = 1
     assert not flip.parity.any()
     assert not flip.parity.flags.writeable
+
+
+def test_circuit_accepts_a_well_formed_rotation_table():
+    # general (2, (1, 2, 3))'s sites: copy0:2 copy1:2 index:3 score:2
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    table = MultiplexedRotation(3, ((0, 1), (2, 2), (0, 0)), [0.5, -0.25, 1.0])
+    assert Circuit(layout, (0,) * 4, (table,)).gates == (
+        CircuitGate(rx(0.5), ((0, 1),), 3),
+        CircuitGate(rx(-0.25), ((2, 2),), 3),
+        CircuitGate(rx(1.0), ((0, 0),), 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (MultiplexedRotation(3, ((0, 1), (3, 0)), [0.1, 0.2]), "site 3 used more than once"),
+        (MultiplexedRotation(2, ((0, 1),), [0.1]), "target site 2 has dimension 3"),
+        (MultiplexedRotation(3, ((2, 3),), [0.1]), "control digit 3 out of range for site 2"),
+        (MultiplexedRotation(3, ((4, 0),), [0.1]), "unknown control site 4"),
+        (MultiplexedRotation(4, ((0, 1),), [0.1]), "unknown target site 4"),
+        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, math.inf]), "angles must be finite"),
+        (MultiplexedRotation(3, ((0, 1),), [math.nan]), "angles must be finite"),
+        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1]), r"shape \(1,\), expected \(2,\)"),
+        (MultiplexedRotation(3, ((0, 1),), [[0.1]]), r"shape \(1, 1\), expected \(1,\)"),
+    ],
+    ids=["target-among-controls", "non-qubit-target", "digit-out-of-range",
+         "unknown-control-site", "unknown-target-site", "infinite-angle", "nan-angle",
+         "length-mismatch", "angles-not-one-dimensional"],
+)
+def test_circuit_rejects_a_malformed_rotation_table(table, message):
+    # the kernel trusts a table as it trusts a gate's sites, so building fails
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    with pytest.raises(InvalidInputError, match=f"multiplexed rotation: .*{message}"):
+        Circuit(layout, (0,) * 4, (table,))
+
+
+def test_a_rotation_table_is_a_read_only_copy():
+    angles = np.array([0.5, 0.25])
+    table = MultiplexedRotation(3, [[0, 1], [1, 0]], angles)
+    angles[0] = 0.0
+    assert table.angles.tolist() == [0.5, 0.25]
+    assert not table.angles.flags.writeable
+    assert table.controls == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(data=st.data())
+def test_staged_and_whole_runs_are_bit_equal(mode, data):
+    # the stage functions run the very steps build_circuit emits
+    max_bits, max_m = {Mode.PAPER: (10, 2), Mode.GENERAL: (10, 24), Mode.FULL: (2, 3)}[mode]
+    min_m = 2 if mode is Mode.PAPER else 1
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    staged = apply_comparison_stage(load_superposition(problem), problem)
+    whole = run(problem)
+    assert np.array_equal(staged.indices, whole.indices)
+    assert np.array_equal(staged.values, whole.values)
 
 
 def test_comparison_stage_rejects_foreign_states():

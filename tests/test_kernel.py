@@ -1,14 +1,13 @@
 """The support-sparse kernel against an independent dense whole-block
 reference, on random circuits, random dense states and the built search
-circuits of every mode; its two gate paths, its running norm check, its
-stored support and its memory."""
+circuits of every mode; its gate paths and tables, its running norm check,
+its stored support and its memory."""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
 from functools import reduce
-from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,14 +21,19 @@ from qnearest import (
     Gate,
     Mode,
     MultiplexedFlip,
+    MultiplexedRotation,
     SearchProblem,
     StateVector,
+    apply_comparison_stage,
     apply_controlled,
     build_circuit,
+    comparison_gates,
     copy_gates,
     execute_circuit,
+    fourier,
     hadamard,
     init_basis_state,
+    load_superposition,
     pauli_x,
     run,
     superposition_gates,
@@ -112,6 +116,31 @@ def _fibre_gates(draw, rng, dims, spectator=None):
     return gates
 
 
+def _rotation_table(draw, dims, spectator=None):
+    """A random :class:`MultiplexedRotation` on a qubit site other than
+    ``spectator``, or None when there is none. It has zero to six rows, each
+    with a random angle and a control on another site; given a
+    ``spectator`` site that reads 0 on every stored entry, some rows are
+    controlled on it and select no column (digit 1) or every column (digit
+    0). Rows may share a control site."""
+    qubits = [t for t in range(len(dims)) if dims[t] == 2 and t != spectator]
+    if not qubits:
+        return None
+    target = draw(st.sampled_from(qubits))
+    others = [s for s in range(len(dims)) if s not in (target, spectator)]
+    kinds = (["random"] if others else []) + (["never", "always"] if spectator is not None else [])
+    controls, angles = [], []
+    for _ in range(draw(st.integers(0, 6)) if kinds else 0):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            site = draw(st.sampled_from(others))
+            controls.append((site, draw(st.integers(0, dims[site] - 1))))
+        else:
+            controls.append((spectator, int(kind == "never")))
+        angles.append(draw(st.floats(-2 * math.pi, 2 * math.pi)))
+    return MultiplexedRotation(target, tuple(controls), angles)
+
+
 @st.composite
 def random_gates(draw, dims):
     """Random gates on a mixed-radix layout, drawn from every kernel path.
@@ -160,9 +189,15 @@ def random_gates(draw, dims):
 
 @st.composite
 def random_circuits(draw):
+    # some circuits carry a rotation table among their gates
     dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
     digits = tuple(draw(st.integers(0, d - 1)) for d in dims)
-    return Circuit(make_layout(*dims), digits, draw(random_gates(dims)))
+    steps = draw(random_gates(dims))
+    table = _rotation_table(draw, dims) if draw(st.booleans()) else None
+    if table is not None:
+        at = draw(st.integers(0, len(steps)))
+        steps = steps[:at] + (table,) + steps[at:]
+    return Circuit(make_layout(*dims), digits, steps)
 
 
 def _fold(state, gates):
@@ -196,10 +231,6 @@ def test_apply_controlled_from_dense_states_matches_the_reference(case):
     assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
 
 
-def _kernel_tuples(gates):
-    return [(cg.controls, cg.target, cg.gate.matrix) for cg in gates]
-
-
 @given(data=st.data())
 def test_fibre_runs_match_the_reference_whatever_their_controls_select(data):
     # the last site is a spectator qubit reading 0 on every stored entry, so
@@ -211,7 +242,7 @@ def test_fibre_runs_match_the_reference_whatever_their_controls_select(data):
     amps = np.zeros(layout.total_dimension, dtype=np.complex128)
     amps[::2] = random_state(rng, layout.total_dimension // 2)
     state = StateVector.from_amplitudes(layout, amps)
-    out = apply_gates(state, _kernel_tuples(gates), squared_norm(state.values))
+    out = apply_gates(state, gates, squared_norm(state.values))
     assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
     assert out.indices.size == np.count_nonzero(out.amplitudes)
 
@@ -331,6 +362,87 @@ def test_a_flip_table_moves_a_dense_state_as_its_gates_do(data):
     assert np.array_equal(out.amplitudes, _reference_run(amps, dims, gates))
 
 
+@given(data=st.data())
+def test_a_rotation_table_turns_a_dense_state_as_its_gates_do(data):
+    # the last site is a spectator qubit reading 0 on every stored entry, so a
+    # row controlled on it selects no column or every column; the rest is
+    # dense, and holds at least one qubit for the target
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=0, max_size=3))
+    dims.insert(data.draw(st.integers(0, len(dims))), 2)
+    dims = tuple(dims) + (2,)
+    layout = make_layout(*dims)
+    table = _rotation_table(data.draw, dims, spectator=len(dims) - 1)
+    gates = Circuit(layout, (0,) * len(dims), (table,)).gates
+    assert len(gates) == len(table.controls)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
+    amps[::2] = random_state(rng, layout.total_dimension // 2)
+    state = StateVector.from_amplitudes(layout, amps)
+    out = apply_gates(state, [table], squared_norm(state.values))
+    assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
+    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-14
+    assert out.indices.size == np.count_nonzero(out.amplitudes)
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
+@given(data=st.data())
+def test_compiled_comparison_stage_turns_as_the_gate_by_gate_fold(mode, data):
+    # the compiled comparison stage is one rotation table (none when every
+    # element equals b); it lists as comparison_gates and turns the loaded
+    # state as they do, one at a time
+    max_bits, max_m = {Mode.PAPER: (12, 2), Mode.GENERAL: (10, 24)}[mode]
+    min_m = 2 if mode is Mode.PAPER else 1
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    layout = problem.layout
+    tables = tuple(s for s in build_circuit(problem).steps if type(s) is MultiplexedRotation)
+    assert len(tables) == int(any(v != b for v in problem.a))
+    gates = comparison_gates(problem, layout)
+    assert Circuit(layout, (0,) * len(layout.sites), tables).gates == gates
+    loaded = load_superposition(problem)
+    fused = apply_comparison_stage(loaded, problem)
+    assert np.max(np.abs(fused.amplitudes - _fold(loaded, gates).amplitudes)) <= 1e-14
+
+
+def test_a_rotation_table_checks_the_running_norm():
+    # one check per table, NaN-safe, also when no row selects the stored entry
+    layout = make_layout(2, 2)
+    state = init_basis_state(layout, (1, 0))
+    turns = MultiplexedRotation(1, ((0, 1),), [0.7])
+    out = apply_gates(state, [turns], 1.0)
+    assert out.indices.tolist() == [layout.flatten((1, 0)), layout.flatten((1, 1))]
+    assert out.values == pytest.approx([math.cos(0.35), -1j * math.sin(0.35)], abs=1e-16)
+    idle = MultiplexedRotation(1, ((0, 0),), [0.7])
+    assert np.array_equal(apply_gates(state, [idle], 1.0).values, state.values)
+    for table in (turns, idle):
+        for norm in (1 + 1e-6, float("nan")):
+            with pytest.raises(NormDriftError):
+                apply_gates(state, [table], norm)
+
+
+def test_an_uncontrolled_gate_on_a_basis_state_writes_one_matrix_column():
+    # bit for bit what the d x d gate times a (d, 1) column holding the
+    # basis amplitude gives, for every Fourier size up to 199 and for a
+    # random unitary read at a nonzero digit; indices come in digit order
+    rng = np.random.default_rng(3)
+    cases = [(fourier(d), 0) for d in range(2, 200)] + [(Gate(5, random_unitary(rng, 5), "U"), 3)]
+    for gate, digit in cases:
+        d = gate.dimension
+        layout = make_layout(3, d, 2)
+        state = execute_circuit(Circuit(layout, (1, digit, 0), (CircuitGate(gate, (), 1),)))
+        column = np.zeros((d, 1), dtype=np.complex128)
+        column[digit] = 1
+        assert state.indices.tolist() == [layout.flatten((1, k, 0)) for k in range(d)]
+        assert np.array_equal(state.values, (gate.matrix @ column)[:, 0])
+    # a one-entry support need not hold 1: the column is scaled by its value
+    layout = make_layout(2, 5)
+    phase = np.exp(0.7j)
+    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
+    amps[layout.flatten((1, 3))] = phase
+    out = apply_gates(StateVector.from_amplitudes(layout, amps), [CircuitGate(gate, (), 1)], 1.0)
+    assert np.max(np.abs(out.values - phase * gate.matrix[:, 3])) <= 1e-15
+
+
 def test_exact_zeros_are_dropped_after_a_gate():
     # H twice returns |0>; the |1> amplitude cancels to an exact zero
     layout = make_layout(2, 3)
@@ -361,9 +473,12 @@ def test_gate_controlled_on_every_other_site_updates_one_fibre(dims, target):
 
 
 def _raw_gate(matrix, label):
-    # a stand-in for Gate that skips its unitarity check
+    # a Gate built without its unitarity check
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return SimpleNamespace(dimension=matrix.shape[0], matrix=matrix, label=label)
+    gate = object.__new__(Gate)
+    for name, value in (("dimension", matrix.shape[0]), ("matrix", matrix), ("label", label)):
+        object.__setattr__(gate, name, value)
+    return gate
 
 
 # one gate for each kernel path: a permutation (scaled identity) and a
@@ -413,8 +528,8 @@ def test_a_faulty_gate_inside_a_fibre_run_raises_before_the_next_gate(fault):
         run[3] = base / (1 + 1e-6)
     else:
         run[2][1, 1] = np.nan
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    gates = [((), 0, h)] + [(((0, 1),), 1, matrix) for matrix in run]
+    h = CircuitGate(_raw_gate(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H"), (), 0)
+    gates = [h] + [CircuitGate(_raw_gate(matrix, "D"), ((0, 1),), 1) for matrix in run]
     read = []
 
     def reading():
@@ -424,12 +539,12 @@ def test_a_faulty_gate_inside_a_fibre_run_raises_before_the_next_gate(fault):
 
     with pytest.raises(NormDriftError):
         apply_gates(init_basis_state(make_layout(2, 3), (0, 0)), reading(), 1.0)
-    assert read[-1][2] is run[2]
+    assert read[-1].gate.matrix is run[2]
     if fault == "scaled":
         # a check at the end of the run alone would pass
         amps = init_basis_state(make_layout(2, 3), (0, 0)).amplitudes
-        for controls, target, matrix in gates:
-            amps = reference_apply(amps, (2, 3), controls, target, matrix)
+        for cg in gates:
+            amps = reference_apply(amps, (2, 3), cg.controls, cg.target, cg.gate.matrix)
         assert abs(np.vdot(amps, amps).real - 1) <= 1e-14
 
 
