@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +56,10 @@ from .state import (
 )
 
 DEFAULT_AMPLITUDE_CAP = 1 << 26
+# Memo bound for layouts, kept by shape (mode, n, m), and for rotation
+# schedules, kept by n. A layout holds a few dozen small sites, so a process
+# cycling over many shapes keeps them all.
+LAYOUT_MEMO_SIZE = 64
 
 
 class Mode(str, Enum):
@@ -106,8 +109,23 @@ class SearchProblem:
 
     @cached_property
     def layout(self) -> RegisterLayout:
-        """This problem's register layout, built once on first use."""
-        return build_layout(self)
+        """This problem's register layout, read on first use from a memo of
+        ``LAYOUT_MEMO_SIZE`` layouts keyed by ``(mode, n, m)``.
+
+        Problems of one shape share one frozen layout, equal to
+        :func:`build_layout`'s.
+        """
+        return _shared_layout(self.mode, self.n, self.m)
+
+    @cached_property
+    def bit_table(self) -> np.ndarray:
+        """Read-only ``(m, n)`` 0/1 uint8 array of each element's bits, most
+        significant first, built on first use."""
+        n = self.n
+        values = np.asarray(self.a, dtype=np.int64 if n < 64 else object)
+        bits = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        bits.flags.writeable = False
+        return bits
 
     def state_size(self) -> int:
         """Amplitude count of this problem's layout, computed without allocating."""
@@ -127,12 +145,13 @@ def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise InvalidInputError(f"bit width must be >= 1, got {n}")
-    values, b = tuple(int(v) for v in a), int(b)
+    values, b = tuple(map(int, a)), int(b)
     if not values:
         raise InvalidInputError("array must be nonempty")
-    for j, v in enumerate(values):
-        if not (v >= 0 and v.bit_length() <= n):
-            raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{n})")
+    if min(values) < 0 or max(values).bit_length() > n:
+        # only a failing array is walked, to name its first bad value
+        j, v = next((j, v) for j, v in enumerate(values) if v < 0 or v.bit_length() > n)
+        raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{n})")
     if not (b >= 0 and b.bit_length() <= n):
         raise InvalidInputError(f"b = {b} outside [0, 2^{n})")
     return values
@@ -145,7 +164,11 @@ def _index_dimension(m: int) -> int:
 
 def uses_score(problem: SearchProblem) -> bool:
     """True when comparison rotations target the score qubit instead of the index."""
-    return problem.mode is Mode.GENERAL or (problem.mode is Mode.FULL and problem.m != 2)
+    return _scored(problem.mode, problem.m)
+
+
+def _scored(mode: Mode, m: int) -> bool:
+    return mode is Mode.GENERAL or (mode is Mode.FULL and m != 2)
 
 
 def value_bits(value: int, n: int) -> tuple[int, ...]:
@@ -160,6 +183,7 @@ class RotationSchedule:
     weights: tuple[float, ...]
 
 
+@lru_cache(maxsize=LAYOUT_MEMO_SIZE)
 def rotation_schedule(n: int) -> RotationSchedule:
     if n < 1:
         raise InvalidInputError(f"bit width must be >= 1, got {n}")
@@ -262,24 +286,32 @@ class Circuit:
 
 
 def build_layout(problem: SearchProblem) -> RegisterLayout:
-    """Canonical site order for a problem.
+    """Canonical site order for a problem, built afresh.
 
     Full mode: reference bits, then each element's bits, then the copy
     buffer, index qudit and (for m != 2) the score qubit. Compiled modes
     drop the reference and array wires. Bit sites are most significant
-    first, matching :func:`value_bits`.
+    first, matching :func:`value_bits`. A search reads the equal layout
+    its shape shares (:attr:`SearchProblem.layout`), not this one.
     """
-    n, m = problem.n, problem.m
+    return _layout(problem.mode, problem.n, problem.m)
+
+
+def _layout(mode: Mode, n: int, m: int) -> RegisterLayout:
     sites: list[Site] = []
-    if problem.mode is Mode.FULL:
+    if mode is Mode.FULL:
         sites += [Site(Role.REFERENCE, 2, f"ref{k}") for k in range(n)]
         for j in range(m):
             sites += [Site(Role.ARRAY, 2, f"arr{j}.{k}") for k in range(n)]
     sites += [Site(Role.COPY, 2, f"copy{k}") for k in range(n)]
     sites.append(Site(Role.INDEX, _index_dimension(m), "index"))
-    if uses_score(problem):
+    if _scored(mode, m):
         sites.append(Site(Role.SCORE, 2, "score"))
     return RegisterLayout(tuple(sites))
+
+
+# a layout is frozen (and its int64 arrays read-only), so one is safely shared
+_shared_layout = lru_cache(maxsize=LAYOUT_MEMO_SIZE)(_layout)
 
 
 def _initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
@@ -304,13 +336,6 @@ def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple
     return (CircuitGate(hadamard() if d == 2 else fourier(d), (), index),)
 
 
-def _bit_table(problem: SearchProblem) -> np.ndarray:
-    """``(m, n)`` 0/1 array of each element's bits, most significant first."""
-    n = problem.n
-    values = np.asarray(problem.a, dtype=np.int64 if n < 64 else object)
-    return (values[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
     """Controlled X gates copying element j into the buffer on the index-j branch.
 
@@ -325,7 +350,7 @@ def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitG
     arrs = layout.sites_of(Role.ARRAY)
     flip = pauli_x(2)
     out = []
-    for j, k in zip(*(axis.tolist() for axis in np.nonzero(_bit_table(problem)))):
+    for j, k in zip(*(axis.tolist() for axis in np.nonzero(problem.bit_table))):
         controls = ((index, j), (arrs[j * n + k], 1)) if arrs else ((index, j),)
         out.append(CircuitGate(flip, controls, copies[k]))
     return tuple(out)
@@ -344,7 +369,7 @@ def _copy_stage(
         return copy_gates(problem, layout)
     index = layout.single(Role.INDEX)
     parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
-    parity[: problem.m, list(layout.sites_of(Role.COPY))] = _bit_table(problem)
+    parity[: problem.m, list(layout.sites_of(Role.COPY))] = problem.bit_table
     return (MultiplexedFlip(index, parity),)
 
 
@@ -354,12 +379,12 @@ def _comparison_rows(problem: SearchProblem) -> list[tuple[int, int, float]]:
     Bits where every element matches b are skipped because a rotation on
     them could never fire.
     """
-    n = problem.n
-    weights = rotation_schedule(n).weights
-    b_bits = value_bits(problem.b, n)
-    # bit k is set where some element differs from b at bit k
-    differs = value_bits(reduce(or_, (v ^ problem.b for v in problem.a)), n)
-    return [(k, b_bits[k], _signed_weight(b_bits[k], weights[k])) for k in range(n) if differs[k]]
+    weights = rotation_schedule(problem.n).weights
+    b_bits = value_bits(problem.b, problem.n)
+    # bit k differs where some element's bit k is not b's
+    differs = (problem.bit_table != b_bits).any(axis=0).tolist()
+    return [(k, b_k, _signed_weight(b_k, weights[k]))
+            for k, (b_k, differ) in enumerate(zip(b_bits, differs)) if differ]
 
 
 def _comparison_target(problem: SearchProblem, layout: RegisterLayout) -> int:

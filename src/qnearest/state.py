@@ -25,7 +25,9 @@ gates and two kinds of table, run four ways:
   qubit (the comparison stage of a compiled circuit, likewise built by
   the builder). The rotations commute, so each column of a
   ``(2, columns)`` fibre grouping turns once, by the summed angle of the
-  rows its key selects;
+  rows its key selects. In general mode every stored entry reaches it
+  with target digit 0, so each entry is its own column and the support
+  is only put in order, not grouped;
 - permutation: a gate with one nonzero per row and column, which moves
   and scales the selected entries, gate by gate;
 - fibre run: any other gates on one shared target (full mode's
@@ -35,6 +37,12 @@ gates and two kinds of table, run four ways:
   on the target, so the controls read only a column's key, and are
   evaluated once per column, not once per stored entry. From a basis
   state, an uncontrolled gate writes one column of its matrix instead.
+
+Each table works out at construction what the check and the kernel read
+off it (a flip table's flipped sites and their submatrix, a rotation
+table's control sites and digits as int64 arrays), and each
+:class:`RegisterLayout` holds its dims and strides as int64 arrays, built
+on first read; the builder shares one layout per problem shape.
 
 It norm-checks every gate and every table (a flip table moves no
 amplitude) against a running squared norm, at ``NORM_TOLERANCE`` and
@@ -48,7 +56,8 @@ permutation (:attr:`~qnearest.gates.Gate.permutation`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -126,6 +135,24 @@ class RegisterLayout:
     def total_dimension(self) -> int:
         return self._total  # type: ignore[attr-defined]
 
+    @cached_property
+    def dims_array(self) -> np.ndarray:
+        """:attr:`dims` as a read-only int64 array for the kernels, built on
+        first read; see :attr:`strides_array`."""
+        _check_capacity(self)
+        return _read_only(np.array(self.dims, dtype=np.int64))
+
+    @cached_property
+    def strides_array(self) -> np.ndarray:
+        """:attr:`strides` as a read-only int64 array for the kernels, built
+        on first read.
+
+        Raises :class:`CapacityError` past ``MAX_AMPLITUDES`` amplitudes,
+        where they could overflow int64; no state lives on such a layout.
+        """
+        _check_capacity(self)
+        return _read_only(np.array(self.strides, dtype=np.int64))
+
     def flatten(self, digits: Sequence[int]) -> int:
         """Flat amplitude index of a per-site digit tuple."""
         digits = tuple(digits)
@@ -199,6 +226,11 @@ class StateVector:
         return amps
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _frozen(layout: RegisterLayout, indices: np.ndarray, values: np.ndarray) -> StateVector:
     indices = indices.astype(np.int64, copy=False)
     indices.flags.writeable = False
@@ -223,13 +255,17 @@ def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVect
     Raises :class:`CapacityError` for a layout of more than
     ``MAX_AMPLITUDES`` amplitudes, whose flat indices would overflow int64.
     """
+    _check_capacity(layout)
+    index = layout.flatten(digits)
+    return _frozen(layout, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128))
+
+
+def _check_capacity(layout: RegisterLayout) -> None:
     if layout.total_dimension > MAX_AMPLITUDES:
         raise CapacityError(
             f"layout has {layout.total_dimension} amplitudes; "
             f"int64 flat indices stop at {MAX_AMPLITUDES}"
         )
-    index = layout.flatten(digits)
-    return _frozen(layout, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -268,16 +304,20 @@ def apply_controlled(
 def check_gate_sites(
     dims: Sequence[int], controls: Sequence[tuple[int, int]], target: int
 ) -> None:
-    """Reject unknown sites, out-of-range control digits and any site used twice.
+    """Reject unknown or non-integer sites, control digits out of range or
+    not integers, and any site used twice.
 
     A control on the gate's own target would make :func:`apply_gates`
-    select the wrong amplitudes instead of failing, so it is rejected here.
+    select the wrong amplitudes instead of failing, and a control digit
+    such as 0.5 would never match, so both are rejected here.
     """
     nsites = len(dims)
+    target = _integer(target, "target site")
     if not 0 <= target < nsites:
         raise InvalidInputError(f"unknown target site {target}")
     seen = {target}
     for site, digit in controls:
+        site, digit = _integer(site, "control site"), _integer(digit, "control digit")
         if not 0 <= site < nsites:
             raise InvalidInputError(f"unknown control site {site}")
         if site in seen:
@@ -287,6 +327,13 @@ def check_gate_sites(
             raise InvalidInputError(
                 f"control digit {digit} out of range for site {site} (dim {dims[site]})"
             )
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,26 +346,36 @@ class MultiplexedFlip:
     none targets the control site. ``parity`` is stored as a read-only copy
     of shape ``(dims[control], number of sites)``; a circuit checks it
     against its layout with :func:`check_multiplexed_flip`.
+
+    What the check and the kernel read off ``parity`` is derived once,
+    here, read-only: ``targets``, the int64 sites with a nonzero entry, and
+    ``flips``, the boolean ``(rows, targets)`` submatrix of ``parity != 0``.
     """
 
     control: int
     parity: np.ndarray
+    targets: np.ndarray = field(init=False, repr=False)
+    flips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        parity = np.array(self.parity)
-        parity.flags.writeable = False
+        parity = _read_only(np.array(self.parity))
+        # a table of any other rank fails the shape check and never runs
+        nonzero = parity != 0 if parity.ndim == 2 else np.zeros((0, 0), dtype=bool)
+        targets = np.flatnonzero(nonzero.any(axis=0))
         object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "targets", _read_only(targets))
+        object.__setattr__(self, "flips", _read_only(nonzero[:, targets]))
 
 
 def check_multiplexed_flip(dims: Sequence[int], flip: MultiplexedFlip) -> None:
     """Reject a flip table that :func:`check_gate_sites` would reject as gates.
 
-    The control site must exist, the table must have one row per control
-    digit and one 0/1 column per site, and every flipped site must be a
-    qubit other than the control site.
+    The control site must be a known site, the table must have one row per
+    control digit and one 0/1 column per site, and every flipped site must
+    be a qubit other than the control site.
     """
     nsites = len(dims)
-    control, parity = flip.control, flip.parity
+    control, parity = _integer(flip.control, "control site"), flip.parity
     if not 0 <= control < nsites:
         raise InvalidInputError(f"unknown control site {control}")
     if parity.shape != (dims[control], nsites):
@@ -327,7 +384,7 @@ def check_multiplexed_flip(dims: Sequence[int], flip: MultiplexedFlip) -> None:
         )
     if not ((parity == 0) | (parity == 1)).all():
         raise InvalidInputError("parity table entries must be 0 or 1")
-    for target in np.flatnonzero(parity.any(axis=0)).tolist():
+    for target in flip.targets.tolist():
         if target == control:
             raise InvalidInputError(f"site {target} used more than once in controls/target")
         if dims[target] != 2:
@@ -347,17 +404,43 @@ class MultiplexedRotation:
     it, so on each branch their angles add. ``angles`` is stored as a
     read-only float copy; a circuit checks the table against its layout
     with :func:`check_multiplexed_rotation`.
+
+    Every control site and digit must be an integer that fits in int64, or
+    construction raises :class:`InvalidInputError`. ``controls`` is stored
+    as a tuple of int pairs, and the same sites and digits once more as the
+    read-only int64 arrays ``sites`` and ``digits`` that the kernel reads.
     """
 
     target: int
     controls: tuple[tuple[int, int], ...]
     angles: np.ndarray
+    sites: np.ndarray = field(init=False, repr=False)
+    digits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(map(tuple, self.controls)))
-        angles = np.array(self.angles, dtype=np.float64)
-        angles.flags.writeable = False
-        object.__setattr__(self, "angles", angles)
+        try:
+            pairs = [(site, digit) for site, digit in self.controls]
+            angles = np.array(self.angles, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise InvalidInputError(f"malformed rotation table: {err}") from None
+        sites, digits = zip(*pairs) if pairs else ((), ())
+        sites, digits = _int64_array(sites, "control site"), _int64_array(digits, "control digit")
+        object.__setattr__(self, "controls", tuple(zip(sites.tolist(), digits.tolist())))
+        object.__setattr__(self, "angles", _read_only(angles))
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "digits", digits)
+
+
+def _int64_array(values: Sequence, what: str) -> np.ndarray:
+    """Read-only int64 array of ``values``, each an integer (``operator.index``)
+    that fits in int64, or :class:`InvalidInputError` naming the first that is not."""
+    try:
+        return _read_only(np.array(list(map(operator.index, values)), dtype=np.int64))
+    except (TypeError, OverflowError):
+        for value in values:
+            if not -MAX_AMPLITUDES - 1 <= _integer(value, what) <= MAX_AMPLITUDES:
+                raise InvalidInputError(f"{what} {value} does not fit in int64") from None
+        raise
 
 
 def check_multiplexed_rotation(dims: Sequence[int], rotation: MultiplexedRotation) -> None:
@@ -391,27 +474,39 @@ def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
     return mask
 
 
-def _multiplexed_flip(indices: np.ndarray, dims, strides, flip: MultiplexedFlip) -> np.ndarray:
+def _multiplexed_flip(
+    indices: np.ndarray, layout: RegisterLayout, flip: MultiplexedFlip
+) -> np.ndarray:
     """``indices`` after a :class:`MultiplexedFlip`, in one step.
 
-    An index whose control digit reads c moves by ``sum_t parity[c, t] *
+    An index whose control digit reads c moves by ``sum_t flips[c, t] *
     (1 - 2 * digit_t) * stride_t`` over the flipped sites t.
     """
     control = flip.control
-    flips = flip.parity != 0
-    targets = np.flatnonzero(flips.any(axis=0))
-    steps = np.asarray(strides, dtype=np.int64)[targets]
-    sign = 1 - 2 * (indices[:, None] // steps % 2)
-    return indices + (flips[:, targets][indices // strides[control] % dims[control]] * sign) @ steps
+    steps = layout.strides_array[flip.targets]
+    # every target is a qubit, so ``& 1`` reads its digit (cheaper than ``% 2``)
+    sign = 1 - 2 * (indices[:, None] // steps & 1)
+    rows = indices // layout.strides[control] % layout.dims[control]
+    return indices + (flip.flips[rows] * sign) @ steps
 
 
 def _fibres(indices: np.ndarray, values: np.ndarray, d: int, stride: int):
     """``(keys, fibres)``: the support grouped into ``(d, columns)`` fibres.
 
     One column per distinct key (an index with its target digit zeroed),
-    in sorted key order; a row is a target digit, and unstored entries are 0.
+    in sorted key order; a row is a target digit, and unstored entries are
+    0. When no stored entry has a nonzero target digit, each entry is its
+    own column and its own key, so the keys are the indices, put in order
+    by one ``argsort``, with no ``np.unique`` grouping. The order is kept
+    because a column's floats may depend on where it sits: a BLAS matmul
+    sums rows in an order that varies with their position.
     """
     digit = indices // stride % d
+    if not digit.any():
+        order = indices.argsort()
+        fibres = np.zeros((d, indices.size), dtype=np.complex128)
+        fibres[0] = values[order]
+        return indices[order], fibres
     keys, column = np.unique(indices - digit * stride, return_inverse=True)
     fibres = np.zeros((d, keys.size), dtype=np.complex128)
     fibres[digit, column] = values
@@ -461,7 +556,7 @@ def _fibre_run(indices, values, dims, strides, target, run, norm):
     return indices, values, norm
 
 
-def _multiplexed_rotation(indices, values, dims, strides, rotation: MultiplexedRotation, norm):
+def _multiplexed_rotation(indices, values, layout, rotation: MultiplexedRotation, norm):
     """``(indices, values, norm)`` after a :class:`MultiplexedRotation`, in one step.
 
     The support is grouped once into ``(2, columns)`` fibres on the target
@@ -470,12 +565,11 @@ def _multiplexed_rotation(indices, values, dims, strides, rotation: MultiplexedR
     ``[[cos, -i sin], [-i sin, cos]]`` of half that angle. The table is
     norm-checked once.
     """
-    stride = strides[rotation.target]
+    stride = layout.strides[rotation.target]
     keys, fibres = _fibres(indices, values, 2, stride)
-    steps, radices, digits = np.array(
-        [(strides[site], dims[site], digit) for site, digit in rotation.controls], dtype=np.int64
-    ).reshape(-1, 3).T
-    selected = keys[:, None] // steps % radices == digits
+    sites = rotation.sites
+    steps, radices = layout.strides_array[sites], layout.dims_array[sites]
+    selected = keys[:, None] // steps % radices == rotation.digits
     half = selected @ rotation.angles / 2
     turned = np.cos(half) * fibres + -1j * np.sin(half) * fibres[::-1]
     norm += squared_norm(turned) - squared_norm(values)
@@ -525,6 +619,14 @@ def apply_gates(
       superposition stage) writes one column of its matrix. Full mode's
       comparison stage is one such run.
 
+    A rotation table or fibre run skips the ``np.unique`` grouping when no
+    stored entry has a nonzero digit on its target: each entry is then its
+    own column, and the support is only sorted (see :func:`_fibres`). This
+    holds for general mode's comparison table and for full mode's
+    comparison run when m != 2 (both target the score qubit, which reads 0
+    until then); paper mode and full mode with m = 2 turn the index qubit,
+    which holds both digits, and group.
+
     ``norm`` is the running squared norm of the state. Each gate and each
     rotation table moves it by the squared norm of what it wrote minus what
     it read, and the total must stay within ``NORM_TOLERANCE`` of 1 after
@@ -543,12 +645,12 @@ def apply_gates(
     for kind, run in groupby(steps, key=_step_kind):
         if kind is MultiplexedFlip:
             for flip in run:
-                indices = _multiplexed_flip(indices, dims, strides, flip)
+                indices = _multiplexed_flip(indices, layout, flip)
                 _check_norm(norm)
         elif kind is MultiplexedRotation:
             for rotation in run:
                 indices, values, norm = _multiplexed_rotation(
-                    indices, values, dims, strides, rotation, norm
+                    indices, values, layout, rotation, norm
                 )
         elif kind is None:
             for step in run:

@@ -323,16 +323,28 @@ def test_state_size_matches_the_layout(instance, mode):
 
 
 def test_a_search_builds_its_layout_once(monkeypatch):
+    # a layout is built once per (mode, n, m) shape: every search of that
+    # shape runs on the very same layout object, and a new shape builds one
     import qnearest.builder as builder_module
     from qnearest.cli import SearchRequest, run_search
 
-    calls = []
-    original = builder_module.build_layout
-    monkeypatch.setattr(builder_module, "build_layout", lambda p: calls.append(p) or original(p))
+    layouts = []
+    original = builder_module.execute_circuit
+    monkeypatch.setattr(builder_module, "execute_circuit",
+                        lambda c: layouts.append(c.layout) or original(c))
+    memo = builder_module._shared_layout
+    memo.cache_clear()
     run_search(SearchRequest(3, 5, (2, 6, 5, 0)))
-    assert len(calls) == 1
-    problem = SearchProblem(3, (2, 6), 5, Mode.FULL)
-    assert problem.layout is problem.layout == build_layout(problem)
+    run_search(SearchRequest(3, 1, (7, 0, 4, 4)))
+    assert memo.cache_info().misses == 1
+    run_search(SearchRequest(4, 1, (7, 0, 4, 4)))
+    assert memo.cache_info().misses == 2
+    assert layouts[0] is layouts[1] is not layouts[2]
+    for mode, a in ((Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5)), (Mode.FULL, (2, 6))):
+        problem = SearchProblem(3, a, 5, mode)
+        assert problem.layout is problem.layout == build_layout(problem)
+        assert problem.layout is SearchProblem(3, a[::-1], 0, mode).layout
+        assert build_layout(problem) is not problem.layout
 
 
 def test_problem_validation():
@@ -430,6 +442,63 @@ def test_a_flip_table_is_a_read_only_copy():
     parity[0, 0] = 1
     assert not flip.parity.any()
     assert not flip.parity.flags.writeable
+
+
+@pytest.mark.parametrize("random_table", range(20))
+def test_a_flip_table_derives_its_targets_and_submatrix_once(random_table):
+    # read-only, and equal to what parity itself gives
+    rng = np.random.default_rng(random_table)
+    rows, sites = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    parity = (rng.random((rows, sites)) < rng.random()).astype(np.int64)
+    flip = MultiplexedFlip(0, parity)
+    targets = np.flatnonzero(parity.any(axis=0))
+    assert np.array_equal(flip.targets, targets)
+    assert np.array_equal(flip.flips, parity[:, targets] == 1)
+    assert not flip.targets.flags.writeable and not flip.flips.flags.writeable
+
+
+def test_a_circuit_gate_with_a_fractional_control_digit_is_rejected():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    with pytest.raises(InvalidInputError, match="gate 'X': control digit 0.5 is not an integer"):
+        Circuit(layout, (0,) * 4, (CircuitGate(pauli_x(2), ((0, 0.5),), 1),))
+
+
+def test_a_flip_table_with_a_float_control_site_is_rejected():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    flip = MultiplexedFlip(2.0, np.zeros((3, 4), dtype=np.int64))
+    with pytest.raises(InvalidInputError, match="multiplexed flip: control site 2.0 is not an integer"):
+        Circuit(layout, (0,) * 4, (flip,))
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        (((0, 1.5),), "control digit 1.5 is not an integer"),
+        (((0, 1.0),), "control digit 1.0 is not an integer"),
+        (((0.0, 1),), "control site 0.0 is not an integer"),
+        (((0, 1 << 63),), f"control digit {1 << 63} does not fit in int64"),
+        (((0, -(1 << 63) - 1),), f"control digit {-(1 << 63) - 1} does not fit in int64"),
+        (((1 << 64, 0),), f"control site {1 << 64} does not fit in int64"),
+        (((0, 1, 2),), "malformed rotation table"),
+        (5, "malformed rotation table"),
+    ],
+    ids=["fractional-digit", "float-digit", "float-site", "digit-past-int64",
+         "digit-below-int64", "site-past-int64", "row-not-a-pair", "controls-not-rows"],
+)
+def test_a_rotation_table_with_a_non_int64_control_fails_construction(controls, message):
+    # the table casts its rows to int64, where 1.5 would become digit 1 while
+    # its expanded gate never fires; construction raises only InvalidInputError
+    with pytest.raises(InvalidInputError, match=message):
+        MultiplexedRotation(3, controls, [0.1])
+
+
+def test_a_rotation_table_keeps_int64_arrays_of_its_rows():
+    table = MultiplexedRotation(3, ((np.int64(0), np.uint8(1)), (2, 2)), [0.5, 0.25])
+    assert table.controls == ((0, 1), (2, 2))
+    assert all(type(v) is int for row in table.controls for v in row)
+    for array, expected in ((table.sites, [0, 2]), (table.digits, [1, 2])):
+        assert array.dtype == np.int64 and array.tolist() == expected
+        assert not array.flags.writeable
 
 
 def test_circuit_accepts_a_well_formed_rotation_table():

@@ -69,6 +69,34 @@ def test_distributions_are_bit_identical_to_the_golden_digests(mode):
             assert digest(*req) == expected[_line(*req)], _line(*req)
 
 
+def test_only_searches_turning_the_index_qubit_group_their_support(monkeypatch):
+    # paper mode and full mode with m = 2 turn the index qubit, which holds
+    # both digits, so their support is grouped (np.unique); every other
+    # search turns a score qubit reading 0, where each entry is its own
+    # column and grouping is skipped. No benchmark workload runs the
+    # grouped path, so it is pinned here, together with its digests.
+    import qnearest.state as state_module
+
+    grouped = []
+    original = state_module._fibres
+
+    def spy(indices, values, d, stride):
+        grouped.append(bool((indices // stride % d).any()))
+        return original(indices, values, d, stride)
+
+    monkeypatch.setattr(state_module, "_fibres", spy)
+    expected = dict(_golden())
+    seen = {True: 0, False: 0}
+    for req in requests():
+        mode, _, _, a = req
+        turns_index = mode is Mode.PAPER or (mode is Mode.FULL and len(a) == 2)
+        grouped.clear()
+        assert digest(*req) == expected[_line(*req)], _line(*req)
+        assert grouped == [turns_index] * len(grouped), _line(*req)
+        seen[turns_index] += bool(grouped)
+    assert seen[True] >= 100 and seen[False] >= 150
+
+
 if __name__ == "__main__":
     lines = ["# mode n b a sha256(repr(probabilities) + repr(postselect_probability))[:16]"]
     lines += [f"{_line(*req)} {digest(*req)}" for req in requests()]

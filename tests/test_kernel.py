@@ -39,7 +39,7 @@ from qnearest import (
     superposition_gates,
 )
 from qnearest.errors import CapacityError, NormDriftError
-from qnearest.state import apply_gates, squared_norm
+from qnearest.state import _fibres, _unfibred, apply_gates, squared_norm
 
 
 def reference_apply(amps, dims, controls, target, matrix):
@@ -418,6 +418,67 @@ def test_a_rotation_table_checks_the_running_norm():
         for norm in (1 + 1e-6, float("nan")):
             with pytest.raises(NormDriftError):
                 apply_gates(state, [table], norm)
+
+
+def _sparse_layout(data):
+    """A small layout with at least one qubit, whose last site is a
+    spectator qubit that a sparse support reads 0 on."""
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=0, max_size=3))
+    dims.insert(data.draw(st.integers(0, len(dims))), 2)
+    return make_layout(*dims, 2)
+
+
+def _sparse_support(data, layout, target):
+    """``(indices, values)``: random distinct indices, unsorted, that read 0
+    on the spectator (last) site, and also on the qubit ``target`` or not,
+    with random unit-norm values."""
+    every = np.arange(layout.total_dimension)
+    allowed = every[every % 2 == 0]  # the spectator is the last site, stride 1
+    if data.draw(st.booleans()):
+        allowed = allowed[allowed // layout.strides[target] % 2 == 0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    indices = rng.choice(allowed, int(rng.integers(1, allowed.size + 1)), replace=False)
+    return indices.astype(np.int64), random_state(rng, indices.size)
+
+
+@given(data=st.data())
+def test_fibres_group_any_support_by_its_sorted_keys(data):
+    # with every target digit 0 each entry is its own column and np.unique is
+    # skipped; either way the grouping is the one np.unique defines, and
+    # ungrouping gives back the stored entries
+    layout = _sparse_layout(data)
+    dims = layout.dims
+    target = data.draw(st.sampled_from([t for t in range(len(dims) - 1) if dims[t] == 2]))
+    indices, values = _sparse_support(data, layout, target)
+    stride = layout.strides[target]
+    keys, fibres = _fibres(indices, values, 2, stride)
+    digit = indices // stride % 2
+    assert np.array_equal(keys, np.unique(indices - digit * stride))
+    expected = np.zeros((2, keys.size), dtype=np.complex128)
+    expected[digit, np.searchsorted(keys, indices - digit * stride)] = values
+    assert np.array_equal(fibres, expected)
+    out_indices, out_values = _unfibred(keys, fibres, stride)
+    assert set(zip(out_indices.tolist(), out_values.tolist())) == set(
+        zip(indices.tolist(), values.tolist()))
+
+
+@given(data=st.data())
+def test_a_rotation_table_turns_a_sparse_support_as_its_gates_do(data):
+    # the table's target reads 0 on every stored entry (each entry is its own
+    # column) or not (grouped); rows controlled on the spectator select no
+    # column or every column
+    layout = _sparse_layout(data)
+    dims = layout.dims
+    table = _rotation_table(data.draw, dims, spectator=len(dims) - 1)
+    indices, values = _sparse_support(data, layout, table.target)
+    gates = Circuit(layout, (0,) * len(dims), (table,)).gates
+    amps = np.zeros(layout.total_dimension, dtype=np.complex128)
+    amps[indices] = values
+    state = StateVector(layout, indices, values)
+    out = apply_gates(state, [table], squared_norm(values))
+    assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
+    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-14
+    assert out.indices.size == np.count_nonzero(out.amplitudes)
 
 
 def test_an_uncontrolled_gate_on_a_basis_state_writes_one_matrix_column():

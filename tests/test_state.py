@@ -19,7 +19,7 @@ from qnearest import (
     pauli_x,
     rx,
 )
-from qnearest.errors import InvalidInputError, NormDriftError
+from qnearest.errors import CapacityError, InvalidInputError, NormDriftError
 
 dims_lists = st.lists(st.integers(2, 4), min_size=1, max_size=4)
 
@@ -67,6 +67,20 @@ def test_strides_match_row_major_definition(dims):
     layout = make_layout(*dims)
     for i in range(len(dims)):
         assert layout.strides[i] == math.prod(dims[i + 1 :])
+
+
+def test_layout_int64_arrays_are_built_once_read_only_and_guarded():
+    layout = make_layout(2, 3, 4)
+    for array, expected in ((layout.dims_array, [2, 3, 4]), (layout.strides_array, [12, 4, 1])):
+        assert array.dtype == np.int64 and array.tolist() == expected
+        assert not array.flags.writeable
+    assert layout.dims_array is layout.dims_array and layout.strides_array is layout.strides_array
+    # 2^64 amplitudes: the strides would overflow int64, and no state lives here
+    wide = make_layout(*[2] * 64)
+    with pytest.raises(CapacityError):
+        wide.strides_array
+    with pytest.raises(CapacityError):
+        wide.dims_array
 
 
 def test_identity_application_is_a_no_op():
@@ -167,6 +181,30 @@ def test_control_overlapping_target_is_rejected():
         apply_controlled(state, ((0, 1),), 0, pauli_x(2).matrix)
     with pytest.raises(InvalidInputError):
         apply_controlled(state, ((1, 0), (1, 1)), 0, pauli_x(2).matrix)
+
+
+@pytest.mark.parametrize(
+    "controls, target, message",
+    [
+        (((0, 0.5),), 1, "control digit 0.5 is not an integer"),
+        (((0, 1.0),), 1, "control digit 1.0 is not an integer"),
+        (((0.0, 1),), 1, "control site 0.0 is not an integer"),
+        ((), 1.0, "target site 1.0 is not an integer"),
+    ],
+    ids=["fractional-digit", "float-digit", "float-site", "float-target"],
+)
+def test_non_integer_sites_and_digits_are_rejected(controls, target, message):
+    # a digit of 0.5 passes 0 <= 0.5 < 2 but can never match, so the gate
+    # would silently never fire; a float site used to fail as a TypeError
+    state = init_basis_state(make_layout(2, 2), (1, 0))
+    with pytest.raises(InvalidInputError, match=message):
+        apply_controlled(state, controls, target, pauli_x(2).matrix)
+
+
+def test_numpy_integer_sites_and_digits_are_accepted():
+    state = init_basis_state(make_layout(2, 2), (1, 0))
+    out = apply_controlled(state, ((np.int64(0), np.uint8(1)),), np.int32(1), pauli_x(2).matrix)
+    assert out.indices.tolist() == [3]
 
 
 @given(dims_lists, st.integers(0, 3), st.integers(0, 10_000))
