@@ -5,13 +5,17 @@ most significant digit of the flattened index, so a layout with dimensions
 (2, 2, 2, 2) stores the basis state with digits (0, 1, 0, 1) at flat index
 0b0101 = 5.
 
-A :class:`StateVector` stores only its support: the int64 flat indices of
-its nonzero amplitudes and those amplitudes, with exact zeros dropped after
-every gate or run. Every circuit here is a basis state passed through controlled
-permutations, one H or Fourier gate and controlled rotations, so a final
-state has at most 2m nonzero amplitudes however large the layout is, and a
-gate costs O(support), not O(product of dims). The dense amplitude vector
-is built only when something reads :attr:`StateVector.amplitudes`.
+A :class:`StateVector` stores only its support, as digits: a site-major
+int64 array of shape ``(sites, k)``, one row per site and one column per
+nonzero amplitude, beside those ``k`` amplitudes in the same order, with
+exact zeros dropped after every gate or run. Every circuit here is a basis
+state passed through controlled permutations, one H or Fourier gate and
+controlled rotations, so a final state has at most 2m nonzero amplitudes
+however large the layout is, and a gate costs O(support), not O(product of
+dims). Gates and marginals read and write digit rows, and never divide a
+flat index. The flat indices (:attr:`StateVector.indices`) and the dense
+amplitude vector (:attr:`StateVector.amplitudes`) are derived only when
+something reads them; the fibre grouping sorts by flat keys.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
@@ -20,7 +24,8 @@ gates and two kinds of table, run four ways:
 
 - multiplexed flip: a table of qubit flips keyed by one control site's
   digit (the copy stage of a compiled circuit, built as a table by the
-  builder, not detected in the gate stream), executed as one index move;
+  builder, not detected in the gate stream), executed as one XOR of the
+  flipped sites' digit rows;
 - multiplexed rotation: a table of single-control X rotations of one
   qubit (the comparison stage of a compiled circuit, likewise built by
   the builder). The rotations commute, so each column of a
@@ -29,7 +34,8 @@ gates and two kinds of table, run four ways:
   with target digit 0, so each entry is its own column and the support
   is only put in order, not grouped;
 - permutation: a gate with one nonzero per row and column, which moves
-  and scales the selected entries, gate by gate;
+  the target digits and scales the amplitudes of the selected entries,
+  gate by gate;
 - fibre run: any other gates on one shared target (full mode's
   comparison stage, or a lone H or Fourier gate). The support is grouped
   once into ``(d, columns)`` fibres keyed by the non-target digits, and
@@ -41,8 +47,8 @@ gates and two kinds of table, run four ways:
 Each table works out at construction what the check and the kernel read
 off it (a flip table's flipped sites and their submatrix, a rotation
 table's control sites and digits as int64 arrays), and each
-:class:`RegisterLayout` holds its dims and strides as int64 arrays, built
-on first read; the builder shares one layout per problem shape.
+:class:`RegisterLayout` holds its strides as an int64 array, built on
+first read; the builder shares one layout per problem shape.
 
 It norm-checks every gate and every table (a flip table moves no
 amplitude) against a running squared norm, at ``NORM_TOLERANCE`` and
@@ -136,16 +142,9 @@ class RegisterLayout:
         return self._total  # type: ignore[attr-defined]
 
     @cached_property
-    def dims_array(self) -> np.ndarray:
-        """:attr:`dims` as a read-only int64 array for the kernels, built on
-        first read; see :attr:`strides_array`."""
-        _check_capacity(self)
-        return _read_only(np.array(self.dims, dtype=np.int64))
-
-    @cached_property
     def strides_array(self) -> np.ndarray:
-        """:attr:`strides` as a read-only int64 array for the kernels, built
-        on first read.
+        """:attr:`strides` as a read-only int64 array, built on first read:
+        the flat index of a digit column is its dot product with it.
 
         Raises :class:`CapacityError` past ``MAX_AMPLITUDES`` amplitudes,
         where they could overflow int64; no state lives on such a layout.
@@ -155,21 +154,29 @@ class RegisterLayout:
 
     def flatten(self, digits: Sequence[int]) -> int:
         """Flat amplitude index of a per-site digit tuple."""
+        return sum(map(operator.mul, self._checked(digits), self.strides))
+
+    def _checked(self, digits: Sequence[int]) -> tuple[int, ...]:
+        """``digits`` as ints, one per site and each in its site's range,
+        or :class:`InvalidInputError` (a digit such as 0.5 included)."""
         digits = tuple(digits)
+        try:
+            digits = tuple(map(operator.index, digits))
+        except TypeError:
+            raise InvalidInputError(f"digits {digits!r} are not all integers") from None
         if len(digits) != len(self.sites):
             raise InvalidInputError(
                 f"expected {len(self.sites)} digits, got {len(digits)}"
             )
-        flat = 0
-        for site, dim, stride, digit in zip(self.sites, self.dims, self.strides, digits):
+        for site, dim, digit in zip(self.sites, self.dims, digits):
             if not 0 <= digit < dim:
                 raise InvalidInputError(
                     f"digit {digit} out of range for site {site.label!r} (dim {dim})"
                 )
-            flat += digit * stride
-        return flat
+        return digits
 
     def unflatten(self, index: int) -> tuple[int, ...]:
+        index = _integer(index, "flat index")
         if not 0 <= index < self.total_dimension:
             raise InvalidInputError(f"flat index {index} out of range")
         return tuple((index // s) % d for s, d in zip(self.strides, self.dims))
@@ -190,15 +197,16 @@ class RegisterLayout:
 class StateVector:
     """Unit-norm complex amplitudes over a :class:`RegisterLayout`, stored by support.
 
-    ``indices`` holds the distinct int64 flat indices of the nonzero
-    amplitudes and ``values`` those amplitudes, in matching order; both are
-    frozen so shared states cannot be corrupted across threads. Construct
-    through :func:`init_basis_state` or :meth:`from_amplitudes`; the raw
-    constructor trusts its arguments.
+    ``digits`` is a site-major int64 array of shape ``(sites, k)``: column j
+    holds the per-site digits of the j-th stored basis state, and no two
+    columns are equal. ``values`` holds the ``k`` nonzero amplitudes in the
+    same order. Both are frozen so shared states cannot be corrupted across
+    threads. Construct through :func:`init_basis_state` or
+    :meth:`from_amplitudes`; the raw constructor trusts its arguments.
     """
 
     layout: RegisterLayout
-    indices: np.ndarray
+    digits: np.ndarray
     values: np.ndarray
 
     @classmethod
@@ -212,7 +220,16 @@ class StateVector:
         indices = np.flatnonzero(amps)
         values = amps[indices]
         _check_norm(squared_norm(values))
-        return _frozen(layout, indices, values)
+        return _frozen(layout, np.array(np.unravel_index(indices, layout.dims)), values)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The int64 flat index of each stored entry, in storage order.
+
+        Read-only, derived from :attr:`digits` on first read; gates never
+        read it.
+        """
+        return _read_only(self.layout.strides_array @ self.digits)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -231,11 +248,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _frozen(layout: RegisterLayout, indices: np.ndarray, values: np.ndarray) -> StateVector:
-    indices = indices.astype(np.int64, copy=False)
-    indices.flags.writeable = False
+def _frozen(layout: RegisterLayout, digits: np.ndarray, values: np.ndarray) -> StateVector:
+    digits = digits.astype(np.int64, copy=False)
+    digits.flags.writeable = False
     values.flags.writeable = False
-    return StateVector(layout, indices, values)
+    return StateVector(layout, digits, values)
 
 
 def squared_norm(values: np.ndarray) -> float:
@@ -250,14 +267,14 @@ def _check_norm(norm: float) -> None:
 
 
 def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVector:
-    """Basis state with amplitude 1 at the flattened index of ``digits``.
+    """Basis state with amplitude 1 on ``digits``, one integer per site.
 
     Raises :class:`CapacityError` for a layout of more than
     ``MAX_AMPLITUDES`` amplitudes, whose flat indices would overflow int64.
     """
     _check_capacity(layout)
-    index = layout.flatten(digits)
-    return _frozen(layout, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128))
+    column = np.array(layout._checked(digits), dtype=np.int64)[:, None]
+    return _frozen(layout, column, np.ones(1, dtype=np.complex128))
 
 
 def _check_capacity(layout: RegisterLayout) -> None:
@@ -338,7 +355,7 @@ def _integer(value, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MultiplexedFlip:
-    """Qubit flips keyed by one control site's digit, run as one index move.
+    """Qubit flips keyed by one control site's digit, run as one digit XOR.
 
     On the branch where site ``control`` reads c, every site t with
     ``parity[c, t] == 1`` flips. It stands for the single-control X gates
@@ -467,62 +484,60 @@ def check_multiplexed_rotation(dims: Sequence[int], rotation: MultiplexedRotatio
         check_gate_sites(dims, (control,), target)
 
 
-def _selected(indices: np.ndarray, dims, strides, controls) -> np.ndarray:
-    mask = np.ones(indices.size, dtype=bool)
-    for site, digit in controls:
-        mask &= indices // strides[site] % dims[site] == digit
+def _selected(digits: np.ndarray, controls) -> np.ndarray | slice:
+    """The columns of ``digits`` that match every ``(site, digit)`` control:
+    a boolean mask, or every column (``slice(None)``) when there are none."""
+    if not controls:
+        return slice(None)
+    (site, digit), *rest = controls
+    mask = digits[site] == digit
+    for site, digit in rest:
+        mask &= digits[site] == digit
     return mask
 
 
-def _multiplexed_flip(
-    indices: np.ndarray, layout: RegisterLayout, flip: MultiplexedFlip
-) -> np.ndarray:
-    """``indices`` after a :class:`MultiplexedFlip`, in one step.
-
-    An index whose control digit reads c moves by ``sum_t flips[c, t] *
-    (1 - 2 * digit_t) * stride_t`` over the flipped sites t.
-    """
-    control = flip.control
-    steps = layout.strides_array[flip.targets]
-    # every target is a qubit, so ``& 1`` reads its digit (cheaper than ``% 2``)
-    sign = 1 - 2 * (indices[:, None] // steps & 1)
-    rows = indices // layout.strides[control] % layout.dims[control]
-    return indices + (flip.flips[rows] * sign) @ steps
-
-
-def _fibres(indices: np.ndarray, values: np.ndarray, d: int, stride: int):
+def _fibres(digits: np.ndarray, values: np.ndarray, target: int, d: int, strides: np.ndarray):
     """``(keys, fibres)``: the support grouped into ``(d, columns)`` fibres.
 
-    One column per distinct key (an index with its target digit zeroed),
-    in sorted key order; a row is a target digit, and unstored entries are
-    0. When no stored entry has a nonzero target digit, each entry is its
-    own column and its own key, so the keys are the indices, put in order
-    by one ``argsort``, with no ``np.unique`` grouping. The order is kept
-    because a column's floats may depend on where it sits: a BLAS matmul
-    sums rows in an order that varies with their position.
+    One column per distinct key (the digits off the target), in the order
+    of the keys' flat indices; ``keys`` holds each column's digits, one row
+    per site (its target row is not read), and a row of ``fibres`` is a
+    target digit, with unstored entries 0. When no stored entry has a
+    nonzero target digit, each entry is its own column and its own key, so
+    the entries are only put in order by one ``argsort``, with no
+    ``np.unique`` grouping. The order is kept because a column's floats may
+    depend on where it sits: a BLAS matmul sums rows in an order that
+    varies with their position.
     """
-    digit = indices // stride % d
+    digit = digits[target]
+    flat = strides @ digits
     if not digit.any():
-        order = indices.argsort()
-        fibres = np.zeros((d, indices.size), dtype=np.complex128)
+        order = flat.argsort()
+        fibres = np.zeros((d, flat.size), dtype=np.complex128)
         fibres[0] = values[order]
-        return indices[order], fibres
-    keys, column = np.unique(indices - digit * stride, return_inverse=True)
-    fibres = np.zeros((d, keys.size), dtype=np.complex128)
+        return digits.take(order, axis=1), fibres
+    flat, column = np.unique(flat - digit * strides[target], return_inverse=True)
+    keys = np.empty((digits.shape[0], flat.size), dtype=np.int64)
+    keys[:, column] = digits
+    fibres = np.zeros((d, flat.size), dtype=np.complex128)
     fibres[digit, column] = values
     return keys, fibres
 
 
-def _unfibred(keys: np.ndarray, fibres: np.ndarray, stride: int):
-    """``(indices, values)`` of the nonzero entries of :func:`_fibres`' grouping."""
-    indices = (keys + np.arange(fibres.shape[0])[:, None] * stride).reshape(-1)
+def _unfibred(keys: np.ndarray, fibres: np.ndarray, target: int):
+    """``(digits, values)`` of the nonzero entries of :func:`_fibres`' grouping,
+    in row-major order: entry p of the ``(d, columns)`` grid is target digit
+    ``p // columns`` on column ``p % columns``'s key."""
     values = fibres.reshape(-1)
-    keep = values != 0
-    return indices[keep], values[keep]
+    keep = np.flatnonzero(values)
+    digit, column = np.divmod(keep, fibres.shape[1])
+    digits = keys.take(column, axis=1)
+    digits[target] = digit
+    return digits, values[keep]
 
 
-def _fibre_run(indices, values, dims, strides, target, run, norm):
-    """``(indices, values, norm)`` after a run of non-permutation gates on ``target``.
+def _fibre_run(digits, values, layout, target, run, norm):
+    """``(digits, values, norm)`` after a run of non-permutation gates on ``target``.
 
     The support is grouped once (:func:`_fibres`), so each gate multiplies
     the very columns a grouping of its own selected entries would. No gate
@@ -532,32 +547,30 @@ def _fibre_run(indices, values, dims, strides, target, run, norm):
     times one column of its matrix, with no grouping. Each gate is
     norm-checked on its own.
     """
-    d, stride = dims[target], strides[target]
     fibres = None
     for step in run:
         controls, matrix = step.controls, step.gate.matrix
-        if fibres is None and indices.size == 1 and not controls:
-            digit = indices[0] // stride % d
-            new = matrix[:, digit] * values[0]
+        if fibres is None and values.size == 1 and not controls:
+            new = matrix[:, digits[target, 0]] * values[0]
             norm += squared_norm(new) - squared_norm(values)
-            keep = new != 0
-            indices, values = (indices[0] + (np.arange(d) - digit) * stride)[keep], new[keep]
+            digits, values = _unfibred(digits, new[:, None], target)
         else:
             if fibres is None:
-                keys, fibres = _fibres(indices, values, d, stride)
-            sel = _selected(keys, dims, strides, controls)
+                keys, fibres = _fibres(digits, values, target, layout.dims[target],
+                                       layout.strides_array)
+            sel = _selected(keys, controls)
             old = fibres[:, sel]
             new = matrix @ old
-            fibres[:, sel] = new
             norm += squared_norm(new) - squared_norm(old)
+            fibres[:, sel] = new
         _check_norm(norm)
     if fibres is not None:
-        indices, values = _unfibred(keys, fibres, stride)
-    return indices, values, norm
+        digits, values = _unfibred(keys, fibres, target)
+    return digits, values, norm
 
 
-def _multiplexed_rotation(indices, values, layout, rotation: MultiplexedRotation, norm):
-    """``(indices, values, norm)`` after a :class:`MultiplexedRotation`, in one step.
+def _multiplexed_rotation(digits, values, layout, rotation: MultiplexedRotation, norm):
+    """``(digits, values, norm)`` after a :class:`MultiplexedRotation`, in one step.
 
     The support is grouped once into ``(2, columns)`` fibres on the target
     (:func:`_fibres`). A column's net angle is the sum of the angles of the
@@ -565,16 +578,15 @@ def _multiplexed_rotation(indices, values, layout, rotation: MultiplexedRotation
     ``[[cos, -i sin], [-i sin, cos]]`` of half that angle. The table is
     norm-checked once.
     """
-    stride = layout.strides[rotation.target]
-    keys, fibres = _fibres(indices, values, 2, stride)
-    sites = rotation.sites
-    steps, radices = layout.strides_array[sites], layout.dims_array[sites]
-    selected = keys[:, None] // steps % radices == rotation.digits
+    target = rotation.target
+    keys, fibres = _fibres(digits, values, target, 2, layout.strides_array)
+    # (columns, rows) in C order: the matmul's float sums depend on its layout
+    selected = np.equal(keys.take(rotation.sites, axis=0).T, rotation.digits, order="C")
     half = selected @ rotation.angles / 2
     turned = np.cos(half) * fibres + -1j * np.sin(half) * fibres[::-1]
     norm += squared_norm(turned) - squared_norm(values)
     _check_norm(norm)
-    return (*_unfibred(keys, turned, stride), norm)
+    return (*_unfibred(keys, turned, target), norm)
 
 
 def _step_kind(step) -> type | int | None:
@@ -595,10 +607,11 @@ def apply_gates(
     Each gate touches only the stored entries whose digits match all its
     controls. Steps run in one of four ways:
 
-    - multiplexed flip: a :class:`MultiplexedFlip` moves every stored index
-      in one step (see :func:`_multiplexed_flip`). In compiled modes the
-      builder emits the whole copy stage as one; single-control X gates in
-      the stream are not fused, and run as permutations;
+    - multiplexed flip: a :class:`MultiplexedFlip` flips the digit rows of
+      its flipped sites in one XOR, each column by the row of ``flips`` its
+      control digit reads. In compiled modes the builder emits the whole
+      copy stage as one; single-control X gates in the stream are not
+      fused, and run as permutations;
     - multiplexed rotation: a :class:`MultiplexedRotation` groups the
       support once into ``(2, columns)`` fibres on its target and turns
       each column once, by the summed angle of the rows its key selects
@@ -607,9 +620,9 @@ def apply_gates(
     - permutation: a gate whose matrix has one nonzero per row and column
       (X, or any permutation with phases; see
       :attr:`~qnearest.gates.Gate.permutation`, worked out once per
-      ``Gate``), gate by gate: each selected index moves to its target
-      digit's image and its amplitude is scaled by that column's entry,
-      with no grouping (when every entry is exactly 1, only indices move);
+      ``Gate``), gate by gate: each selected entry's target digit moves to
+      its image and its amplitude is scaled by that column's entry, with no
+      grouping (when every entry is exactly 1, only digits move);
     - fibre run: consecutive gates with any other matrix on one target
       site share one grouping of the support into ``(d, columns)`` fibres
       keyed by the non-target digits, and each gate replaces its selected
@@ -635,43 +648,49 @@ def apply_gates(
     are dropped after every permutation gate, rotation table and fibre run,
     so the stored count is the nonzero count.
 
+    The support is stored as digits (see :class:`StateVector`), so every
+    step reads and writes digit rows; no step reads a flat index except as
+    the sort key of a fibre grouping. The returned state's
+    :attr:`~StateVector.indices` and :attr:`~StateVector.amplitudes` are
+    derived only when read.
+
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
     :func:`apply_controlled`) checked the sites and tables, and
     :class:`~qnearest.gates.Gate` checked unitarity.
     """
     layout = state.layout
-    dims, strides = layout.dims, layout.strides
-    indices, values = state.indices.copy(), state.values.copy()
+    digits, values = state.digits.copy(), state.values.copy()
     for kind, run in groupby(steps, key=_step_kind):
         if kind is MultiplexedFlip:
             for flip in run:
-                indices = _multiplexed_flip(indices, layout, flip)
+                digits[flip.targets] ^= flip.flips[digits[flip.control]].T
                 _check_norm(norm)
         elif kind is MultiplexedRotation:
             for rotation in run:
-                indices, values, norm = _multiplexed_rotation(
-                    indices, values, layout, rotation, norm
+                digits, values, norm = _multiplexed_rotation(
+                    digits, values, layout, rotation, norm
                 )
         elif kind is None:
             for step in run:
                 move, phase = step.gate.permutation
-                mask = _selected(indices, dims, strides, step.controls)
-                d, stride = dims[step.target], strides[step.target]
-                picked = indices[mask]
-                digit = picked // stride % d
-                indices[mask] = picked + move[digit] * stride
+                sel = _selected(digits, step.controls)
+                row = digits[step.target]
+                # with no controls ``sel`` is a slice, so ``picked`` and ``old``
+                # are views: every read of them comes before the writes
+                picked = row[sel]
                 if phase is not None:
-                    old = values[mask]
-                    new = old * phase[digit]
-                    values[mask] = new
+                    old = values[sel]
+                    new = old * phase[picked]
                     norm += squared_norm(new) - squared_norm(old)
-                    if not new.all():
-                        keep = values != 0
-                        indices, values = indices[keep], values[keep]
+                    values[sel] = new
+                row[sel] = picked + move[picked]
+                if phase is not None and not new.all():
+                    keep = values != 0
+                    digits, values = digits[:, keep], values[keep]
                 _check_norm(norm)
         else:
-            indices, values, norm = _fibre_run(indices, values, dims, strides, kind, run, norm)
-    return _frozen(layout, indices, values)
+            digits, values, norm = _fibre_run(digits, values, layout, kind, run, norm)
+    return _frozen(layout, digits, values)
 
 
 def marginal_probabilities(
@@ -701,9 +720,9 @@ def _marginal_cells(state: StateVector, sites: Sequence[int]) -> np.ndarray:
         if not 0 <= s < nsites:
             raise InvalidInputError(f"unknown site {s}")
     shape = tuple(layout.dims[s] for s in order)
-    cell = np.zeros(state.indices.size, dtype=np.int64)
-    for s in order:
-        cell = cell * layout.dims[s] + state.indices // layout.strides[s] % layout.dims[s]
+    cell = state.digits[order[0]]
+    for s in order[1:]:
+        cell = cell * layout.dims[s] + state.digits[s]
     probs = np.bincount(cell, weights=np.abs(state.values) ** 2, minlength=math.prod(shape))
     return probs.reshape(shape)
 

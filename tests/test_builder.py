@@ -463,6 +463,12 @@ def test_a_circuit_gate_with_a_fractional_control_digit_is_rejected():
         Circuit(layout, (0,) * 4, (CircuitGate(pauli_x(2), ((0, 0.5),), 1),))
 
 
+def test_a_circuit_with_a_fractional_initial_digit_is_rejected():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    with pytest.raises(InvalidInputError, match="not all integers"):
+        Circuit(layout, (0.5, 1, 0, 0), ())
+
+
 def test_a_flip_table_with_a_float_control_site_is_rejected():
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     flip = MultiplexedFlip(2.0, np.zeros((3, 4), dtype=np.int64))

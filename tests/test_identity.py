@@ -80,9 +80,9 @@ def test_only_searches_turning_the_index_qubit_group_their_support(monkeypatch):
     grouped = []
     original = state_module._fibres
 
-    def spy(indices, values, d, stride):
-        grouped.append(bool((indices // stride % d).any()))
-        return original(indices, values, d, stride)
+    def spy(digits, values, target, d, strides):
+        grouped.append(bool(digits[target].any()))
+        return original(digits, values, target, d, strides)
 
     monkeypatch.setattr(state_module, "_fibres", spy)
     expected = dict(_golden())

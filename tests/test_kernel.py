@@ -450,15 +450,18 @@ def test_fibres_group_any_support_by_its_sorted_keys(data):
     dims = layout.dims
     target = data.draw(st.sampled_from([t for t in range(len(dims) - 1) if dims[t] == 2]))
     indices, values = _sparse_support(data, layout, target)
-    stride = layout.strides[target]
-    keys, fibres = _fibres(indices, values, 2, stride)
+    strides, stride = layout.strides_array, layout.strides[target]
+    digits = np.array(np.unravel_index(indices, dims))
+    key_digits, fibres = _fibres(digits, values, target, 2, strides)
+    # a key's target row is never read, so its flat key zeroes it
+    keys = strides @ key_digits - key_digits[target] * stride
     digit = indices // stride % 2
     assert np.array_equal(keys, np.unique(indices - digit * stride))
     expected = np.zeros((2, keys.size), dtype=np.complex128)
     expected[digit, np.searchsorted(keys, indices - digit * stride)] = values
     assert np.array_equal(fibres, expected)
-    out_indices, out_values = _unfibred(keys, fibres, stride)
-    assert set(zip(out_indices.tolist(), out_values.tolist())) == set(
+    out_digits, out_values = _unfibred(key_digits, fibres, target)
+    assert set(zip((strides @ out_digits).tolist(), out_values.tolist())) == set(
         zip(indices.tolist(), values.tolist()))
 
 
@@ -474,7 +477,7 @@ def test_a_rotation_table_turns_a_sparse_support_as_its_gates_do(data):
     gates = Circuit(layout, (0,) * len(dims), (table,)).gates
     amps = np.zeros(layout.total_dimension, dtype=np.complex128)
     amps[indices] = values
-    state = StateVector(layout, indices, values)
+    state = StateVector(layout, np.array(np.unravel_index(indices, dims)), values)
     out = apply_gates(state, [table], squared_norm(values))
     assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
     assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-14

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from conftest import instances
 from qnearest import (
     Mode,
+    Role,
     SearchProblem,
     agreement_sweep,
     classical_nearest,
@@ -93,6 +94,20 @@ def test_generalized_closed_form_matches_the_simulator(inst):
     closed = closed_form_generalized(a, b, n)
     assert np.max(np.abs(np.array(sim.probabilities) - closed.probabilities)) <= 1e-12
     assert abs(sim.postselect_probability - closed.postselect_probability) <= 1e-12
+
+
+def test_a_300_element_general_search_matches_the_closed_form():
+    # index digits reach 299, past any 8-bit digit type
+    rng = np.random.default_rng(300)
+    n, b = 8, 77
+    a = tuple(int(v) for v in rng.integers(0, 1 << n, 300))
+    problem = SearchProblem(n, a, b, Mode.GENERAL)
+    state = run(problem)
+    assert state.digits[state.layout.single(Role.INDEX)].max() == 299
+    sim = index_distribution(state, problem)
+    closed = closed_form_generalized(a, b, n)
+    assert np.max(np.abs(np.array(sim.probabilities) - closed.probabilities)) <= 1e-10
+    assert abs(sim.postselect_probability - closed.postselect_probability) <= 1e-10
 
 
 @given(instances(max_bits=6, max_m=10))

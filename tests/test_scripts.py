@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("distance_profile.py", (),
          "bit width n = 4; branch weight = single-element keep probability"),
         ("reference_example.py", (), "instance: n=3 bits, reference 5, array [2, 6]"),
+        ("code_lines.py", (), "module,lines,code_lines"),
     ],
 )
 def test_a_script_runs_and_prints_its_header(script, args, header):
@@ -32,3 +33,15 @@ def test_a_script_runs_and_prints_its_header(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\ndef f():\n    """Doc."""\n'
+        '    return """not a\n    docstring"""  # trailing\n', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["module,lines,code_lines", "m.py,8,3", "total,8,3"]

@@ -49,6 +49,28 @@ def test_basis_state_rejects_bad_digits():
         init_basis_state(layout, (0,))
 
 
+@pytest.mark.parametrize("digits", [(0.5, 1), (0, 1.0), ("1", 0), (np.float64(1), 0)])
+def test_basis_state_rejects_non_integer_digits(digits):
+    # 0.5 * stride would land on a real flat index (here 2), and an int64
+    # digit array would truncate 0.5 to 0
+    layout = make_layout(2, 3)
+    with pytest.raises(InvalidInputError, match="not all integers"):
+        init_basis_state(layout, digits)
+    with pytest.raises(InvalidInputError, match="not all integers"):
+        layout.flatten(digits)
+
+
+def test_basis_state_accepts_numpy_integer_digits():
+    state = init_basis_state(make_layout(2, 3), (np.int64(1), np.uint8(2)))
+    assert state.indices.tolist() == [5]
+
+
+@pytest.mark.parametrize("index", [0.5, 2.0, "1", None])
+def test_unflatten_rejects_a_non_integer_index(index):
+    with pytest.raises(InvalidInputError, match="flat index .* is not an integer"):
+        make_layout(2, 3).unflatten(index)
+
+
 def test_site_dimension_must_be_at_least_two():
     with pytest.raises(InvalidInputError):
         make_layout(2, 1)
@@ -71,16 +93,13 @@ def test_strides_match_row_major_definition(dims):
 
 def test_layout_int64_arrays_are_built_once_read_only_and_guarded():
     layout = make_layout(2, 3, 4)
-    for array, expected in ((layout.dims_array, [2, 3, 4]), (layout.strides_array, [12, 4, 1])):
-        assert array.dtype == np.int64 and array.tolist() == expected
-        assert not array.flags.writeable
-    assert layout.dims_array is layout.dims_array and layout.strides_array is layout.strides_array
+    array = layout.strides_array
+    assert array.dtype == np.int64 and array.tolist() == [12, 4, 1]
+    assert not array.flags.writeable
+    assert layout.strides_array is array
     # 2^64 amplitudes: the strides would overflow int64, and no state lives here
-    wide = make_layout(*[2] * 64)
     with pytest.raises(CapacityError):
-        wide.strides_array
-    with pytest.raises(CapacityError):
-        wide.dims_array
+        make_layout(*[2] * 64).strides_array
 
 
 def test_identity_application_is_a_no_op():
@@ -294,6 +313,38 @@ def test_amplitudes_are_frozen():
     state = init_basis_state(make_layout(2), (0,))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+def test_digits_and_indices_are_read_only_and_indices_are_built_once():
+    layout = make_layout(3, 2, 5)
+    rng = np.random.default_rng(11)
+    state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    state = apply_controlled(state, ((0, 2),), 2, random_unitary(rng, 5))
+    assert state.digits.dtype == np.int64 and state.digits.shape == (3, state.values.size)
+    assert state.digits.flags.c_contiguous
+    assert state.indices is state.indices
+    assert state.indices.dtype == np.int64
+    assert state.indices.tolist() == [layout.flatten(column) for column in state.digits.T.tolist()]
+    for array in (state.digits, state.indices, state.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@given(dims_lists, st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.9))
+def test_from_amplitudes_round_trips_a_dense_vector(dims, seed, sparsity):
+    # digits come from np.unravel_index of the nonzero flat indices, in order
+    layout = make_layout(*dims)
+    rng = np.random.default_rng(seed)
+    amps = random_state(rng, layout.total_dimension)
+    amps[rng.random(amps.size) < sparsity] = 0
+    if not amps.any():
+        amps[0] = 1
+    amps /= np.linalg.norm(amps)
+    state = StateVector.from_amplitudes(layout, amps)
+    assert np.array_equal(state.amplitudes, amps)
+    assert state.indices.tolist() == np.flatnonzero(amps).tolist()
+    assert state.digits.T.tolist() == [list(layout.unflatten(i)) for i in np.flatnonzero(amps)]
 
 
 def test_marginal_of_basis_state():
