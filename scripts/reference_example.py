@@ -26,8 +26,8 @@ def main() -> None:
     index_site = loaded.layout.single(Role.INDEX)
     marg = marginal_probabilities(loaded, (index_site,))
     print("after loading, the index marginal is even:")
-    for digits, p in sorted(marg.items()):
-        print(f"  index {digits[0]}: {p:.6f}")
+    for j, p in enumerate(marg.tolist()):
+        print(f"  index {j}: {p:.6f}")
 
     dist = index_distribution(run(problem), problem)
     chosen, is_tie = decide(dist)

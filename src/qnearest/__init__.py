@@ -11,7 +11,6 @@ from .builder import (
     Circuit,
     CircuitGate,
     Mode,
-    RotationSchedule,
     SearchProblem,
     apply_comparison_stage,
     build_circuit,
@@ -74,7 +73,6 @@ __all__ = [
     "OracleReport",
     "RegisterLayout",
     "Role",
-    "RotationSchedule",
     "SearchProblem",
     "ShotCounts",
     "SimulatorError",

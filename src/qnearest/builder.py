@@ -47,10 +47,9 @@ from .state import (
     Role,
     Site,
     StateVector,
+    _integer,
+    _integers,
     apply_gates,
-    check_gate_sites,
-    check_multiplexed_flip,
-    check_multiplexed_rotation,
     init_basis_state,
     squared_norm,
 )
@@ -86,8 +85,8 @@ class SearchProblem:
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "n", _integer(self.n, "bit width"))
+        object.__setattr__(self, "b", _integer(self.b, "b ="))
         object.__setattr__(self, "a", validate_instance(self.a, self.b, self.n))
         object.__setattr__(self, "mode", Mode(self.mode))
         if self.mode is Mode.PAPER and self.m != 2:
@@ -140,12 +139,16 @@ class SearchProblem:
 def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
     """Check that n >= 1, ``a`` is nonempty and every value is n-bit unsigned.
 
-    Returns ``a`` as a tuple of ints. Range tests use ``bit_length`` so a huge
-    n never materializes ``2^n``.
+    ``n``, ``b`` and each value must be integers (``operator.index``), so a
+    float such as 2.9 is rejected, not truncated. Returns ``a`` as a tuple
+    of ints. Range tests use ``bit_length`` so a huge n never materializes
+    ``2^n``.
     """
+    n = _integer(n, "bit width")
     if n < 1:
         raise InvalidInputError(f"bit width must be >= 1, got {n}")
-    values, b = tuple(map(int, a)), int(b)
+    values = _integers(a, "array value")
+    b = _integer(b, "b =")
     if not values:
         raise InvalidInputError("array must be nonempty")
     if min(values) < 0 or max(values).bit_length() > n:
@@ -176,18 +179,12 @@ def value_bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-@dataclass(frozen=True)
-class RotationSchedule:
-    """Per-bit rotation weights, most significant bit first: pi/2, pi/4, ..."""
-
-    weights: tuple[float, ...]
-
-
 @lru_cache(maxsize=LAYOUT_MEMO_SIZE)
-def rotation_schedule(n: int) -> RotationSchedule:
+def rotation_schedule(n: int) -> tuple[float, ...]:
+    """Per-bit rotation weights, most significant bit first: pi/2, pi/4, ..."""
     if n < 1:
         raise InvalidInputError(f"bit width must be >= 1, got {n}")
-    return RotationSchedule(tuple(math.pi / (1 << (k + 1)) for k in range(n)))
+    return tuple(math.pi / (1 << (k + 1)) for k in range(n))
 
 
 def net_rotation_angle(n: int, b: int, value: int) -> float:
@@ -200,21 +197,15 @@ def _signed_weight(reference_bit: int, weight: float) -> float:
     return weight if reference_bit else -weight
 
 
-# each table type's name in error messages and its check against a layout
-_TABLE_CHECKS = {
-    MultiplexedFlip: ("multiplexed flip", check_multiplexed_flip),
-    MultiplexedRotation: ("multiplexed rotation", check_multiplexed_rotation),
-}
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Circuit over a layout, starting from a fixed basis state.
 
     ``steps`` holds :class:`CircuitGate` entries and, for a compiled copy
     and comparison stage, a :class:`~qnearest.state.MultiplexedFlip` and a
-    :class:`~qnearest.state.MultiplexedRotation`; :attr:`gates` lists the
-    same circuit one gate at a time.
+    :class:`~qnearest.state.MultiplexedRotation`. Each step format checks
+    itself against the layout (``step.check``) and lists itself gate by
+    gate (``step.expanded``), so the circuit reads no step's internals.
     """
 
     layout: RegisterLayout
@@ -223,48 +214,15 @@ class Circuit:
 
     def __post_init__(self) -> None:
         self.layout.flatten(self.initial_digits)  # validates length and ranges
-        dims = self.layout.dims
         for step in self.steps:
             # the kernel trusts its sites, so every step is checked once here
-            table = _TABLE_CHECKS.get(type(step))
-            if table is not None:
-                name, check = table
-                try:
-                    check(dims, step)
-                except InvalidInputError as err:
-                    raise InvalidInputError(f"{name}: {err}") from None
-                continue
-            try:
-                check_gate_sites(dims, step.controls, step.target)
-            except InvalidInputError as err:
-                raise InvalidInputError(f"gate {step.gate.label!r}: {err}") from None
-            if step.gate.dimension != dims[step.target]:
-                raise InvalidInputError(
-                    f"gate {step.gate.label!r}: dimension {step.gate.dimension} does not match "
-                    f"target site dimension {dims[step.target]}"
-                )
+            step.check(self.layout.dims)
 
     @cached_property
     def gates(self) -> tuple[CircuitGate, ...]:
-        """The steps one gate at a time, built on first read.
-
-        A multiplexed flip becomes its single-control X gates, control
-        digit by control digit, targets in site order; a multiplexed
-        rotation becomes one single-control ``rx`` gate per row, in row order.
-        """
-        gates: list[CircuitGate] = []
-        for step in self.steps:
-            if type(step) is MultiplexedFlip:
-                flip = pauli_x(2)
-                rows, targets = np.nonzero(step.parity)
-                gates += (CircuitGate(flip, ((step.control, c),), t)
-                          for c, t in zip(rows.tolist(), targets.tolist()))
-            elif type(step) is MultiplexedRotation:
-                gates += (CircuitGate(rx(angle), (control,), step.target)
-                          for control, angle in zip(step.controls, step.angles.tolist()))
-            else:
-                gates.append(step)
-        return tuple(gates)
+        """The steps one gate at a time, each expanded by its own
+        ``expanded()``, built on first read."""
+        return tuple(gate for step in self.steps for gate in step.expanded())
 
     def dump(self) -> str:
         """Line-oriented text form, stable across runs.
@@ -379,7 +337,7 @@ def _comparison_rows(problem: SearchProblem) -> list[tuple[int, int, float]]:
     Bits where every element matches b are skipped because a rotation on
     them could never fire.
     """
-    weights = rotation_schedule(problem.n).weights
+    weights = rotation_schedule(problem.n)
     b_bits = value_bits(problem.b, problem.n)
     # bit k differs where some element's bit k is not b's
     differs = (problem.bit_table != b_bits).any(axis=0).tolist()

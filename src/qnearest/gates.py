@@ -49,25 +49,22 @@ class Gate:
         object.__setattr__(self, "matrix", mat)
 
     @cached_property
-    def permutation(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """``(move, phase)`` if the matrix has one nonzero in each row and
-        column (a permutation with phases), else None; computed on first read.
+    def permutation(self) -> np.ndarray | None:
+        """``move`` if the matrix is a permutation matrix (one nonzero entry
+        in each row and column, each exactly 1), else None; computed on
+        first read.
 
-        Column k sends digit k to digit ``k + move[k]``, times ``phase[k]``;
-        ``phase`` is None when every nonzero is exactly 1.
+        Column k sends digit k to digit ``k + move[k]``. A permutation with
+        other phases is None: the kernel runs it as any other matrix.
         """
         matrix, d = self.matrix, self.dimension
-        if np.count_nonzero(matrix) != d:  # cheaper than listing a dense matrix's nonzeros
+        # a unitary whose d nonzero entries are all exactly 1 is a permutation matrix
+        if np.count_nonzero(matrix) != d or np.count_nonzero(matrix == 1) != d:
             return None
-        rows, cols = np.nonzero(matrix)  # in row-major order, so ``rows`` is sorted
-        if rows.tolist() != list(range(d)) or sorted(cols.tolist()) != list(range(d)):
-            return None
-        move = np.empty(d, dtype=np.int64)
-        move[cols] = rows - cols
-        phase = np.empty(d, dtype=np.complex128)
-        phase[cols] = matrix[rows, cols]
-        move.flags.writeable = phase.flags.writeable = False
-        return move, None if (phase == 1).all() else phase
+        cols, rows = np.nonzero(matrix.T)  # in column-major order, so ``cols`` is 0, 1, ...
+        move = rows - cols
+        move.flags.writeable = False
+        return move
 
 
 def _require_finite(theta: float) -> float:

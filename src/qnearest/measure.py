@@ -8,7 +8,7 @@ import numpy as np
 
 from .builder import Mode, SearchProblem, uses_score
 from .errors import InvalidInputError
-from .state import Role, StateVector, _marginal_cells
+from .state import Role, StateVector, _integer, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
@@ -66,10 +66,10 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
         raise InvalidInputError("state layout does not match the problem")
     index = layout.single(Role.INDEX)
     if not uses_score(problem):
-        cells = _marginal_cells(state, (index,)).tolist()
+        cells = marginal_probabilities(state, (index,)).tolist()
         return IndexDistribution(tuple(cells[: problem.m]), 1.0, problem.mode)
     score = layout.single(Role.SCORE)
-    cells = _marginal_cells(state, (index, score))[:, 0].tolist()
+    cells = marginal_probabilities(state, (index, score))[:, 0].tolist()
     keep = sum(cells)
     probs = tuple(p / keep for p in cells[: problem.m])
     return IndexDistribution(probs, keep, problem.mode)
@@ -84,8 +84,8 @@ def decide(dist: IndexDistribution) -> tuple[int, bool]:
 
 
 def check_shots(shots: int) -> None:
-    """Reject shot counts outside ``[1, MAX_SHOTS]``."""
-    if not 1 <= shots <= MAX_SHOTS:
+    """Reject shot counts that are not integers or lie outside ``[1, MAX_SHOTS]``."""
+    if not 1 <= _integer(shots, "shots") <= MAX_SHOTS:
         raise InvalidInputError(f"shots must be in [1, 2^63 - 1], got {shots}")
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .builder import Mode, SearchProblem, run, validate_instance
 from .errors import InvalidInputError
 from .measure import IndexDistribution, decide, index_distribution
+from .state import _integer, _integers
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,16 @@ class OracleReport:
 
 
 def classical_nearest(a: Sequence[int], b: int) -> OracleReport:
-    """Exact integer scan: all minimizers listed, lowest index chosen."""
-    values = tuple(int(v) for v in a)
+    """Exact integer scan: all minimizers listed, lowest index chosen.
+
+    ``b`` and every value must be integers, so a float such as 2.5 is
+    rejected, not truncated.
+    """
+    values = _integers(a, "array value")
     if not values:
         raise InvalidInputError("array must be nonempty")
-    distances = [abs(int(b) - v) for v in values]
+    b = _integer(b, "b =")
+    distances = [abs(b - v) for v in values]
     best = min(distances)
     tied = tuple(j for j, d in enumerate(distances) if d == best)
     return OracleReport(tied[0], best, tied)

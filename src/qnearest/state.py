@@ -19,32 +19,35 @@ something reads them; the fibre grouping sorts by flat keys.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
-and :func:`apply_controlled`. Its step stream holds :class:`CircuitGate`
-gates and two kinds of table, run four ways:
+and :func:`apply_controlled`. Its step stream holds three step formats,
+and each owns its format: ``check(dims)`` rejects a step its layout
+cannot run, and ``expanded()`` lists it as single gates. The kernel runs
+them four ways:
 
-- multiplexed flip: a table of qubit flips keyed by one control site's
-  digit (the copy stage of a compiled circuit, built as a table by the
-  builder, not detected in the gate stream), executed as one XOR of the
-  flipped sites' digit rows;
-- multiplexed rotation: a table of single-control X rotations of one
-  qubit (the comparison stage of a compiled circuit, likewise built by
-  the builder). The rotations commute, so each column of a
-  ``(2, columns)`` fibre grouping turns once, by the summed angle of the
-  rows its key selects. In general mode every stored entry reaches it
-  with target digit 0, so each entry is its own column and the support
-  is only put in order, not grouped;
-- permutation: a gate with one nonzero per row and column, which moves
-  the target digits and scales the amplitudes of the selected entries,
-  gate by gate;
-- fibre run: any other gates on one shared target (full mode's
-  comparison stage, or a lone H or Fourier gate). The support is grouped
-  once into ``(d, columns)`` fibres keyed by the non-target digits, and
-  each gate multiplies the columns its controls select. No control sits
-  on the target, so the controls read only a column's key, and are
-  evaluated once per column, not once per stored entry. From a basis
-  state, an uncontrolled gate writes one column of its matrix instead.
+- multiplexed flip: a :class:`MultiplexedFlip`, a table of qubit flips
+  keyed by one control site's digit (the copy stage of a compiled circuit,
+  built as a table by the builder, not detected in the gate stream),
+  executed as one XOR of the flipped sites' digit rows;
+- multiplexed rotation: a :class:`MultiplexedRotation`, a table of
+  single-control X rotations of one qubit (the comparison stage of a
+  compiled circuit, likewise built by the builder). The rotations commute,
+  so each column of a ``(2, columns)`` fibre grouping turns once, by the
+  summed angle of the rows its key selects. In general mode every stored
+  entry reaches it with target digit 0, so each entry is its own column
+  and the support is only put in order, not grouped;
+- permutation: a :class:`CircuitGate` whose matrix is a permutation
+  matrix (X, or the cyclic shift) moves the target digits of the selected
+  entries, gate by gate, and touches no amplitude;
+- fibre run: any other :class:`CircuitGate` gates on one shared target
+  (full mode's comparison stage, a lone H or Fourier gate, or a
+  permutation with phases). The support is grouped once into
+  ``(d, columns)`` fibres keyed by the non-target digits, and each gate
+  multiplies the columns its controls select. No control sits on the
+  target, so the controls read only a column's key, and are evaluated
+  once per column, not once per stored entry. From a basis state, an
+  uncontrolled gate writes one column of its matrix instead.
 
-Each table works out at construction what the check and the kernel read
+Each table works out at construction what its check and the kernel read
 off it (a flip table's flipped sites and their submatrix, a rotation
 table's control sites and digits as int64 arrays), and each
 :class:`RegisterLayout` holds its strides as an int64 array, built on
@@ -56,7 +59,7 @@ NaN-safe, and raises :class:`NormDriftError` instead of renormalizing.
 Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
 circuit gates are built as one, and :func:`apply_controlled` wraps its raw
 matrix in one. Each ``Gate`` works out once whether its matrix is a
-permutation (:attr:`~qnearest.gates.Gate.permutation`).
+permutation matrix (:attr:`~qnearest.gates.Gate.permutation`).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NormDriftError
-from .gates import Gate
+from .gates import Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
 # flat indices are int64, so no layout may hold more amplitudes than this
@@ -294,6 +297,23 @@ class CircuitGate:
     controls: tuple[tuple[int, int], ...]
     target: int
 
+    def check(self, dims: Sequence[int]) -> None:
+        """Reject sites :func:`check_gate_sites` rejects, and a gate whose
+        dimension is not its target site's."""
+        try:
+            check_gate_sites(dims, self.controls, self.target)
+            if self.gate.dimension != dims[self.target]:
+                raise InvalidInputError(
+                    f"dimension {self.gate.dimension} does not match "
+                    f"target site dimension {dims[self.target]}"
+                )
+        except InvalidInputError as err:
+            raise InvalidInputError(f"gate {self.gate.label!r}: {err}") from None
+
+    def expanded(self) -> tuple[CircuitGate, ...]:
+        """A gate lists as itself."""
+        return (self,)
+
 
 def apply_controlled(
     state: StateVector,
@@ -353,6 +373,16 @@ def _integer(value, what: str) -> int:
         raise InvalidInputError(f"{what} {value!r} is not an integer") from None
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints (``operator.index`` on each), or
+    :class:`InvalidInputError` naming the first that is not an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # only a failing sequence is walked, to name its first non-integer
+        return tuple(_integer(value, what) for value in values)
+
+
 @dataclass(frozen=True, eq=False)
 class MultiplexedFlip:
     """Qubit flips keyed by one control site's digit, run as one digit XOR.
@@ -362,7 +392,7 @@ class MultiplexedFlip:
     ``((control, c),) -> t``, one per 1 in ``parity``, which commute, since
     none targets the control site. ``parity`` is stored as a read-only copy
     of shape ``(dims[control], number of sites)``; a circuit checks it
-    against its layout with :func:`check_multiplexed_flip`.
+    against its layout with :meth:`check`.
 
     What the check and the kernel read off ``parity`` is derived once,
     here, read-only: ``targets``, the int64 sites with a nonzero entry, and
@@ -383,31 +413,41 @@ class MultiplexedFlip:
         object.__setattr__(self, "targets", _read_only(targets))
         object.__setattr__(self, "flips", _read_only(nonzero[:, targets]))
 
+    def check(self, dims: Sequence[int]) -> None:
+        """Reject a table that :func:`check_gate_sites` would reject as gates.
 
-def check_multiplexed_flip(dims: Sequence[int], flip: MultiplexedFlip) -> None:
-    """Reject a flip table that :func:`check_gate_sites` would reject as gates.
+        The control site must be a known site, the table must have one row
+        per control digit and one 0/1 column per site, and every flipped
+        site must be a qubit other than the control site.
+        """
+        try:
+            nsites = len(dims)
+            control, parity = _integer(self.control, "control site"), self.parity
+            if not 0 <= control < nsites:
+                raise InvalidInputError(f"unknown control site {control}")
+            if parity.shape != (dims[control], nsites):
+                raise InvalidInputError(
+                    f"parity table has shape {parity.shape}, expected {(dims[control], nsites)}"
+                )
+            if not ((parity == 0) | (parity == 1)).all():
+                raise InvalidInputError("parity table entries must be 0 or 1")
+            for target in self.targets.tolist():
+                if target == control:
+                    raise InvalidInputError(f"site {target} used more than once in controls/target")
+                if dims[target] != 2:
+                    raise InvalidInputError(
+                        f"flip target site {target} has dimension {dims[target]}, not 2"
+                    )
+        except InvalidInputError as err:
+            raise InvalidInputError(f"multiplexed flip: {err}") from None
 
-    The control site must be a known site, the table must have one row per
-    control digit and one 0/1 column per site, and every flipped site must
-    be a qubit other than the control site.
-    """
-    nsites = len(dims)
-    control, parity = _integer(flip.control, "control site"), flip.parity
-    if not 0 <= control < nsites:
-        raise InvalidInputError(f"unknown control site {control}")
-    if parity.shape != (dims[control], nsites):
-        raise InvalidInputError(
-            f"parity table has shape {parity.shape}, expected {(dims[control], nsites)}"
-        )
-    if not ((parity == 0) | (parity == 1)).all():
-        raise InvalidInputError("parity table entries must be 0 or 1")
-    for target in flip.targets.tolist():
-        if target == control:
-            raise InvalidInputError(f"site {target} used more than once in controls/target")
-        if dims[target] != 2:
-            raise InvalidInputError(
-                f"flip target site {target} has dimension {dims[target]}, not 2"
-            )
+    def expanded(self) -> tuple[CircuitGate, ...]:
+        """The table's single-control X gates, control digit by control
+        digit, targets in site order."""
+        flip = pauli_x(2)
+        rows, targets = np.nonzero(self.parity)
+        return tuple(CircuitGate(flip, ((self.control, c),), t)
+                     for c, t in zip(rows.tolist(), targets.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +460,7 @@ class MultiplexedRotation:
     commute, since all are X rotations of one qubit and no control sits on
     it, so on each branch their angles add. ``angles`` is stored as a
     read-only float copy; a circuit checks the table against its layout
-    with :func:`check_multiplexed_rotation`.
+    with :meth:`check`.
 
     Every control site and digit must be an integer that fits in int64, or
     construction raises :class:`InvalidInputError`. ``controls`` is stored
@@ -447,41 +487,46 @@ class MultiplexedRotation:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "digits", digits)
 
+    def check(self, dims: Sequence[int]) -> None:
+        """Reject a table whose gates would fail as circuit gates.
+
+        The target must be a qubit, every angle finite, with one angle per
+        control, and each row's control must pass :func:`check_gate_sites`
+        with the target: a known site other than the target, read at a
+        digit in range.
+        """
+        try:
+            check_gate_sites(dims, (), self.target)
+            if dims[self.target] != 2:
+                raise InvalidInputError(
+                    f"rotation target site {self.target} has dimension {dims[self.target]}, not 2"
+                )
+            if self.angles.shape != (len(self.controls),):
+                raise InvalidInputError(
+                    f"angles have shape {self.angles.shape}, expected {(len(self.controls),)}"
+                )
+            if not np.isfinite(self.angles).all():
+                raise InvalidInputError("angles must be finite")
+            for control in self.controls:
+                check_gate_sites(dims, (control,), self.target)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"multiplexed rotation: {err}") from None
+
+    def expanded(self) -> tuple[CircuitGate, ...]:
+        """One single-control ``rx`` gate per row, in row order."""
+        return tuple(CircuitGate(rx(angle), (control,), self.target)
+                     for control, angle in zip(self.controls, self.angles.tolist()))
+
 
 def _int64_array(values: Sequence, what: str) -> np.ndarray:
-    """Read-only int64 array of ``values``, each an integer (``operator.index``)
+    """Read-only int64 array of ``values``, each an integer (:func:`_integers`)
     that fits in int64, or :class:`InvalidInputError` naming the first that is not."""
+    values = _integers(values, what)
     try:
-        return _read_only(np.array(list(map(operator.index, values)), dtype=np.int64))
-    except (TypeError, OverflowError):
-        for value in values:
-            if not -MAX_AMPLITUDES - 1 <= _integer(value, what) <= MAX_AMPLITUDES:
-                raise InvalidInputError(f"{what} {value} does not fit in int64") from None
-        raise
-
-
-def check_multiplexed_rotation(dims: Sequence[int], rotation: MultiplexedRotation) -> None:
-    """Reject a rotation table that its gates would fail as circuit gates.
-
-    The target must be a qubit, every angle finite, with one angle per
-    control, and each row's control must pass :func:`check_gate_sites`
-    with the target: a known site other than the target, read at a digit
-    in range.
-    """
-    target, controls, angles = rotation.target, rotation.controls, rotation.angles
-    check_gate_sites(dims, (), target)
-    if dims[target] != 2:
-        raise InvalidInputError(
-            f"rotation target site {target} has dimension {dims[target]}, not 2"
-        )
-    if angles.shape != (len(controls),):
-        raise InvalidInputError(
-            f"angles have shape {angles.shape}, expected {(len(controls),)}"
-        )
-    if not np.isfinite(angles).all():
-        raise InvalidInputError("angles must be finite")
-    for control in controls:
-        check_gate_sites(dims, (control,), target)
+        return _read_only(np.array(values, dtype=np.int64))
+    except OverflowError:
+        value = next(v for v in values if not -MAX_AMPLITUDES - 1 <= v <= MAX_AMPLITUDES)
+        raise InvalidInputError(f"{what} {value} does not fit in int64") from None
 
 
 def _selected(digits: np.ndarray, controls) -> np.ndarray | slice:
@@ -617,20 +662,18 @@ def apply_gates(
       each column once, by the summed angle of the rows its key selects
       (see :func:`_multiplexed_rotation`). In compiled modes the builder
       emits the whole comparison stage as one;
-    - permutation: a gate whose matrix has one nonzero per row and column
-      (X, or any permutation with phases; see
-      :attr:`~qnearest.gates.Gate.permutation`, worked out once per
-      ``Gate``), gate by gate: each selected entry's target digit moves to
-      its image and its amplitude is scaled by that column's entry, with no
-      grouping (when every entry is exactly 1, only digits move);
+    - permutation: a gate whose matrix is a permutation matrix (X, or the
+      cyclic shift; see :attr:`~qnearest.gates.Gate.permutation`, worked
+      out once per ``Gate``), gate by gate: each selected entry's target
+      digit moves to its image, with no grouping and no amplitude touched;
     - fibre run: consecutive gates with any other matrix on one target
-      site share one grouping of the support into ``(d, columns)`` fibres
-      keyed by the non-target digits, and each gate replaces its selected
-      columns with ``matrix @ fibres`` (the orientation of a dense block
-      kernel; see :func:`_fibre_run`). A lone H, Fourier or rotation gate
-      is a run of one; from a basis state, an uncontrolled one (the
-      superposition stage) writes one column of its matrix. Full mode's
-      comparison stage is one such run.
+      site, a permutation with phases included, share one grouping of the
+      support into ``(d, columns)`` fibres keyed by the non-target digits,
+      and each gate replaces its selected columns with ``matrix @ fibres``
+      (the orientation of a dense block kernel; see :func:`_fibre_run`). A
+      lone H, Fourier or rotation gate is a run of one; from a basis state,
+      an uncontrolled one (the superposition stage) writes one column of
+      its matrix. Full mode's comparison stage is one such run.
 
     A rotation table or fibre run skips the ``np.unique`` grouping when no
     stored entry has a nonzero digit on its target: each entry is then its
@@ -643,10 +686,10 @@ def apply_gates(
     ``norm`` is the running squared norm of the state. Each gate and each
     rotation table moves it by the squared norm of what it wrote minus what
     it read, and the total must stay within ``NORM_TOLERANCE`` of 1 after
-    every gate and every table (a flip table moves no amplitude), so drift
-    summed over gates is caught as well as drift within one. Exact zeros
-    are dropped after every permutation gate, rotation table and fibre run,
-    so the stored count is the nonzero count.
+    every gate and every table (flip tables and permutation gates move no
+    amplitude), so drift summed over gates is caught as well as drift
+    within one. Exact zeros are dropped after every rotation table and
+    fibre run, so the stored count is the nonzero count.
 
     The support is stored as digits (see :class:`StateVector`), so every
     step reads and writes digit rows; no step reads a flat index except as
@@ -654,9 +697,9 @@ def apply_gates(
     :attr:`~StateVector.indices` and :attr:`~StateVector.amplitudes` are
     derived only when read.
 
-    Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` (or
-    :func:`apply_controlled`) checked the sites and tables, and
-    :class:`~qnearest.gates.Gate` checked unitarity.
+    Sites and matrices are trusted: :class:`~qnearest.builder.Circuit`
+    checked every step with its ``check`` (:func:`apply_controlled` its
+    gate's sites), and :class:`~qnearest.gates.Gate` checked unitarity.
     """
     layout = state.layout
     digits, values = state.digits.copy(), state.values.copy()
@@ -672,44 +715,29 @@ def apply_gates(
                 )
         elif kind is None:
             for step in run:
-                move, phase = step.gate.permutation
+                move = step.gate.permutation
                 sel = _selected(digits, step.controls)
                 row = digits[step.target]
-                # with no controls ``sel`` is a slice, so ``picked`` and ``old``
-                # are views: every read of them comes before the writes
+                # with no controls ``sel`` is a slice, so ``picked`` is a
+                # view: it is read in full before the write
                 picked = row[sel]
-                if phase is not None:
-                    old = values[sel]
-                    new = old * phase[picked]
-                    norm += squared_norm(new) - squared_norm(old)
-                    values[sel] = new
                 row[sel] = picked + move[picked]
-                if phase is not None and not new.all():
-                    keep = values != 0
-                    digits, values = digits[:, keep], values[keep]
                 _check_norm(norm)
         else:
             digits, values, norm = _fibre_run(digits, values, layout, kind, run, norm)
     return _frozen(layout, digits, values)
 
 
-def marginal_probabilities(
-    state: StateVector, sites: Sequence[int]
-) -> dict[tuple[int, ...], float]:
-    """Outcome probabilities for a subset of sites.
+def marginal_probabilities(state: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """Outcome probabilities for a subset of sites, as an array of shape
+    ``(dims of sites)``.
 
-    Keys are digit tuples in the order the sites were given, covering every
-    outcome; values sum to 1. Each stored entry's ``|amplitude|^2`` is added
-    to the cell of its digits on those sites, so the cost is O(support) plus
-    the number of outcomes.
+    Axis i is the i-th site as given, so the cell at ``(d0, d1, ...)`` is
+    the probability that those sites read those digits; the cells sum to 1.
+    Each stored entry's ``|amplitude|^2`` is added to the cell of its digits
+    on those sites, so the cost is O(support) plus the number of outcomes.
     """
-    probs = _marginal_cells(state, sites)
-    return {tuple(int(v) for v in idx): float(p) for idx, p in np.ndenumerate(probs)}
-
-
-def _marginal_cells(state: StateVector, sites: Sequence[int]) -> np.ndarray:
-    """:func:`marginal_probabilities` as an array of shape ``(dims of sites)``."""
-    order = tuple(sites)
+    order = _integers(sites, "site")
     if not order:
         raise InvalidInputError("site subset must be nonempty")
     if len(set(order)) != len(order):

@@ -4,8 +4,11 @@
 attribute name, and ``qbench/workloads.py`` calls ``SearchProblem.state_size``
 and counts ``build_circuit(problem).gates``. The traced pass reads
 ``state.amplitudes`` of each final state, for its size and its nonzero count.
-A change in ``src`` would break the benchmark only at run time, so this pins
-those names and values here.
+``qbench/checks.py`` checks every search through the program's public
+functions, and rebuilds an ``IndexDistribution`` to sample again. A change
+in ``src`` would break the benchmark only at run time, so this pins those
+names and values here, and runs a few requests of each benchmark workload
+through the benchmark's own checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 import hashlib
 import importlib
 import importlib.util
+import itertools
+import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +38,26 @@ from qnearest import (
     superposition_gates,
 )
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "qbench" / "spans.py"
+from qnearest.cli import run_search
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("qbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def load_qbench(name):
+    """``qbench/<name>.py`` as the module ``qbench_<name>``, registered in
+    ``sys.modules`` before it runs, since a dataclass looks its module up."""
+    module_name = f"qbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, ROOT / "qbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
 
 
-SPANS = load_spans()
+SPANS = load_qbench("spans")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BENCHMARK_WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 @pytest.mark.parametrize("name,module,attr", SPANS.FUNCTIONS)
@@ -116,3 +131,15 @@ def test_compiled_gate_counts_and_dumps_are_pinned():
         circuit = build_circuit(problem)
         digest.update(f"{len(circuit.gates)}\n{circuit.dump()}".encode())
     assert digest.hexdigest() == DUMP_DIGEST
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_workloads_pass_the_benchmarks_own_checks(name):
+    # the benchmark counts a search that raises or fails a check as failed;
+    # re-sampling rebuilds IndexDistribution positionally and calls sample
+    checks, workloads = load_qbench("checks"), load_qbench("workloads")
+    for request in itertools.islice(workloads.requests(name, 1), 4):
+        problems, _ = checks.verify(request, run_search(request), rerun_sample=True)
+        assert problems == [], f"{request}: {problems}"
+    described = workloads.describe(name, 1, count=4)
+    assert described["requests_described"] == 4

@@ -85,15 +85,15 @@ def test_single_element_keeps_a_two_level_index():
 
 
 def test_schedule_values():
-    assert rotation_schedule(3).weights == (math.pi / 2, math.pi / 4, math.pi / 8)
-    assert rotation_schedule(1).weights == (math.pi / 2,)
+    assert rotation_schedule(3) == (math.pi / 2, math.pi / 4, math.pi / 8)
+    assert rotation_schedule(1) == (math.pi / 2,)
     with pytest.raises(InvalidInputError):
         rotation_schedule(0)
 
 
 @given(st.integers(1, 12))
 def test_schedule_weights_halve_and_sum_below_pi(n):
-    weights = rotation_schedule(n).weights
+    weights = rotation_schedule(n)
     for k in range(n - 1):
         assert weights[k + 1] == pytest.approx(weights[k] / 2, rel=1e-15)
     assert sum(weights) == pytest.approx(math.pi * (1 - 2 ** -n), rel=1e-12)
@@ -103,7 +103,7 @@ def test_schedule_weights_halve_and_sum_below_pi(n):
 def test_bitwise_angle_sum_equals_net_angle(n, data):
     b = data.draw(st.integers(0, (1 << n) - 1))
     a = data.draw(st.integers(0, (1 << n) - 1))
-    weights = rotation_schedule(n).weights
+    weights = rotation_schedule(n)
     bitwise = sum(
         (bb - ab) * w for bb, ab, w in zip(value_bits(b, n), value_bits(a, n), weights)
     )
@@ -163,7 +163,7 @@ def test_index_marginal_is_uniform_after_loading():
     state = load_superposition(problem)
     marg = marginal_probabilities(state, (state.layout.single(Role.INDEX),))
     for j in range(4):
-        assert marg[(j,)] == pytest.approx(0.25, abs=1e-12)
+        assert marg[j] == pytest.approx(0.25, abs=1e-12)
 
 
 @given(instances(max_bits=4, max_m=6))
@@ -362,6 +362,24 @@ def test_problem_validation():
     assert coerced.mode is Mode.PAPER
     assert coerced.a == (2, 6)
     assert coerced.m == 2
+
+
+@pytest.mark.parametrize(
+    "n,a,b,message",
+    [(3, (2.9, 6), 5, "array value 2.9 is not an integer"),
+     (3, (2, 6), 5.7, "b = 5.7 is not an integer"),
+     (3.0, (2, 6), 5, "bit width 3.0 is not an integer"),
+     (3, (2, "6"), 5, "array value '6' is not an integer")],
+)
+def test_a_problem_rejects_non_integers_instead_of_truncating_them(n, a, b, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SearchProblem(n, a, b)
+
+
+def test_a_problem_accepts_numpy_integers():
+    problem = SearchProblem(np.int64(3), np.array([2, 6], dtype=np.int32), np.uint8(5))
+    assert (problem.n, problem.a, problem.b) == (3, (2, 6), 5)
+    assert all(type(v) is int for v in (problem.n, problem.b, *problem.a))
 
 
 def test_circuit_dump_is_stable():

@@ -65,7 +65,8 @@ def _reference_run(amps, dims, gates):
 
 
 def _phased_shift(rng, d):
-    # a permutation with unit phases: the kernel moves and scales, never groups
+    # a permutation with unit-modulus phases: not a permutation matrix, so
+    # the kernel runs it as a fibre run
     matrix = pauli_x(d).matrix @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
     return matrix[:, rng.permutation(d)]
 
@@ -277,7 +278,8 @@ def test_a_run_stores_at_most_two_amplitudes_per_index_level(mode, data):
 
 
 def test_permutation_gates_move_indices_and_scale_amplitudes():
-    # a phased cyclic shift on a qutrit where site 0 reads 1, after H on site 0
+    # a phased cyclic shift on a qutrit where site 0 reads 1, after H on
+    # site 0: it runs as a fibre run, and moves and scales as a permutation would
     layout = make_layout(2, 3)
     phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
     shift = Gate(3, pauli_x(3).matrix @ np.diag(phases), "P")
@@ -545,8 +547,8 @@ def _raw_gate(matrix, label):
     return gate
 
 
-# one gate for each kernel path: a permutation (scaled identity) and a
-# grouped matrix (scaled Fourier gate)
+# a scaled identity and a scaled Fourier gate: neither is a permutation
+# matrix, so both run as fibre runs
 DRIFT_BASES = (np.eye(3), np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3))
 
 

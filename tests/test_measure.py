@@ -147,6 +147,18 @@ def test_shots_outside_the_int64_range_are_rejected(shots):
         sample(IndexDistribution((1.0,)), shots=shots)
 
 
+@pytest.mark.parametrize("shots", [2.5, 2.0, "2"])
+def test_non_integer_shots_are_rejected(shots):
+    # 2.5 used to sample and report rejected = 0.5
+    with pytest.raises(InvalidInputError, match="shots .* is not an integer"):
+        sample(IndexDistribution((1.0,)), shots=shots)
+
+
+def test_numpy_integer_shots_sample():
+    counts = sample(IndexDistribution((0.25, 0.75), 0.5), np.int64(1000), seed=3)
+    assert counts == sample(IndexDistribution((0.25, 0.75), 0.5), 1000, seed=3)
+
+
 def test_the_largest_shot_count_samples():
     counts = sample(IndexDistribution((0.5, 0.5), 0.7), shots=MAX_SHOTS, seed=5)
     assert 0 < counts.shots < MAX_SHOTS

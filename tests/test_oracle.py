@@ -40,6 +40,27 @@ def test_scan_rejects_empty_arrays():
         classical_nearest((), 5)
 
 
+@pytest.mark.parametrize("a,b", [((2.5, 3), 2), ((2, 3), 2.5), ((2, 3), "2")])
+def test_scan_rejects_non_integers_instead_of_truncating_them(a, b):
+    # (2.5, 3) against 2 used to report index 0 at distance 0
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        classical_nearest(a, b)
+
+
+def test_scan_accepts_numpy_integers():
+    report = classical_nearest(np.array([2, 6], dtype=np.int16), np.int64(5))
+    assert (report.nearest_index, report.distance, report.tied_indices) == (1, 1, (1,))
+    assert type(report.distance) is int
+
+
+@pytest.mark.parametrize("closed_form", [closed_form_paper, closed_form_generalized])
+def test_closed_forms_reject_non_integers_instead_of_truncating_them(closed_form):
+    for n, a, b in ((3, (2.9, 6), 5), (3, (2, 6), 5.7), (3.0, (2, 6), 5)):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            closed_form(a, b, n)
+    assert closed_form(np.array([2, 6]), np.int64(5), np.int8(3)) == closed_form((2, 6), 5, 3)
+
+
 def test_paper_closed_form_frozen_values():
     dist = closed_form_paper((2, 6), 5, 3)
     assert np.max(np.abs(np.array(dist.probabilities) - PAPER_P)) <= 1e-15
