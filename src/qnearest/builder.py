@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, _integer, _integers
 from .gates import fourier, hadamard, pauli_x, rx
 from .state import (
     CircuitGate,
@@ -47,10 +47,8 @@ from .state import (
     Role,
     Site,
     StateVector,
-    _integer,
-    _integers,
+    _basis_state,
     apply_gates,
-    init_basis_state,
     squared_norm,
 )
 
@@ -85,10 +83,12 @@ class SearchProblem:
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "bit width"))
-        object.__setattr__(self, "b", _integer(self.b, "b ="))
-        object.__setattr__(self, "a", validate_instance(self.a, self.b, self.n))
-        object.__setattr__(self, "mode", Mode(self.mode))
+        n, a, b = validate_instance(self.a, self.b, self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mode", _mode(self.mode))
+        object.__setattr__(self, "amplitude_cap", _integer(self.amplitude_cap, "amplitude cap"))
         if self.mode is Mode.PAPER and self.m != 2:
             raise InvalidInputError(f"paper mode requires exactly 2 elements, got {self.m}")
         if self.n >= self.amplitude_cap.bit_length():
@@ -136,13 +136,13 @@ class SearchProblem:
         return size
 
 
-def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
+def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, tuple[int, ...], int]:
     """Check that n >= 1, ``a`` is nonempty and every value is n-bit unsigned.
 
     ``n``, ``b`` and each value must be integers (``operator.index``), so a
-    float such as 2.9 is rejected, not truncated. Returns ``a`` as a tuple
-    of ints. Range tests use ``bit_length`` so a huge n never materializes
-    ``2^n``.
+    float such as 2.9 is rejected, not truncated. Returns ``(n, a, b)`` as
+    ints, ``a`` as a tuple, so a caller checks each of them once, here.
+    Range tests use ``bit_length`` so a huge n never materializes ``2^n``.
     """
     n = _integer(n, "bit width")
     if n < 1:
@@ -157,7 +157,16 @@ def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, ...]:
         raise InvalidInputError(f"a[{j}] = {v} outside [0, 2^{n})")
     if not (b >= 0 and b.bit_length() <= n):
         raise InvalidInputError(f"b = {b} outside [0, 2^{n})")
-    return values
+    return n, values, b
+
+
+def _mode(value) -> Mode:
+    try:
+        return Mode(value)
+    except ValueError:
+        raise InvalidInputError(
+            f"mode must be one of paper, general, full; got {value!r}"
+        ) from None
 
 
 def _index_dimension(m: int) -> int:
@@ -179,9 +188,10 @@ def value_bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-@lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+@lru_cache(maxsize=LAYOUT_MEMO_SIZE, typed=True)  # typed: n=2.0 must not hit n=2's entry
 def rotation_schedule(n: int) -> tuple[float, ...]:
     """Per-bit rotation weights, most significant bit first: pi/2, pi/4, ..."""
+    n = _integer(n, "bit width")
     if n < 1:
         raise InvalidInputError(f"bit width must be >= 1, got {n}")
     return tuple(math.pi / (1 << (k + 1)) for k in range(n))
@@ -206,6 +216,9 @@ class Circuit:
     :class:`~qnearest.state.MultiplexedRotation`. Each step format checks
     itself against the layout (``step.check``) and lists itself gate by
     gate (``step.expanded``), so the circuit reads no step's internals.
+    ``initial_digits`` is checked against the layout and stored as ints
+    when the circuit is built, so :func:`execute_circuit` starts from it
+    without checking it again.
     """
 
     layout: RegisterLayout
@@ -213,7 +226,7 @@ class Circuit:
     steps: tuple[CircuitGate | MultiplexedFlip | MultiplexedRotation, ...]
 
     def __post_init__(self) -> None:
-        self.layout.flatten(self.initial_digits)  # validates length and ranges
+        object.__setattr__(self, "initial_digits", self.layout._checked(self.initial_digits))
         for step in self.steps:
             # the kernel trusts its sites, so every step is checked once here
             step.check(self.layout.dims)
@@ -408,7 +421,7 @@ def build_circuit(problem: SearchProblem) -> Circuit:
 
 def execute_circuit(circuit: Circuit) -> StateVector:
     """Run the circuit's steps on its basis state (squared norm 1)."""
-    start = init_basis_state(circuit.layout, circuit.initial_digits)
+    start = _basis_state(circuit.layout, circuit.initial_digits)
     return apply_gates(start, circuit.steps, 1.0)
 
 

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .builder import Mode, SearchProblem, run
+from .builder import Mode, SearchProblem, _mode, run
 from .errors import CapacityError, InvalidInputError, NormDriftError
 from .measure import ShotCounts, check_shots, decide, index_distribution, sample
 from .oracle import OracleReport, agreement_sweep, classical_nearest, sweep_table
@@ -191,15 +191,6 @@ def _parse_array(value: str) -> tuple[int, ...]:
     return tuple(_parse_int(s, "array entry") for s in items)
 
 
-def _parse_mode(value: str) -> Mode:
-    try:
-        return Mode(value)
-    except ValueError:
-        raise InvalidInputError(
-            f"mode must be one of paper, general, full; got {value!r}"
-        ) from None
-
-
 def _request_from_args(args: argparse.Namespace) -> SearchRequest:
     fields: dict[str, str] = {}
     if args.input:
@@ -208,18 +199,10 @@ def _request_from_args(args: argparse.Namespace) -> SearchRequest:
                 fields = parse_request_document(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read {args.input}: {exc}") from None
-    if args.bits is not None:
-        fields["n"] = str(args.bits)
-    if args.target is not None:
-        fields["b"] = str(args.target)
-    if args.array is not None:
-        fields["a"] = args.array
-    if args.mode is not None:
-        fields["mode"] = args.mode
-    if args.shots is not None:
-        fields["shots"] = str(args.shots)
-    if args.seed is not None:
-        fields["seed"] = str(args.seed)
+    # flags override the file; every field is parsed once, below
+    flags = {"n": args.bits, "b": args.target, "a": args.array, "mode": args.mode,
+             "shots": args.shots, "seed": args.seed}
+    fields.update((key, value) for key, value in flags.items() if value is not None)
     for key in ("n", "b", "a"):
         if key not in fields:
             raise InvalidInputError(f"missing required field {key!r} (flag or input file)")
@@ -227,7 +210,7 @@ def _request_from_args(args: argparse.Namespace) -> SearchRequest:
         n=_parse_int(fields["n"], "n"),
         b=_parse_int(fields["b"], "b"),
         a=_parse_array(fields["a"]),
-        mode=_parse_mode(fields.get("mode", Mode.GENERAL.value)),
+        mode=_mode(fields.get("mode", Mode.GENERAL.value)),
         shots=_parse_int(fields["shots"], "shots") if "shots" in fields else None,
         seed=_parse_int(fields["seed"], "seed") if "seed" in fields else None,
     )
@@ -292,12 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     search = sub.add_parser("search", help="run one nearest-element search")
-    search.add_argument("--bits", type=int, help="element bit width n")
-    search.add_argument("--target", type=int, help="reference value b")
+    # integer flags stay strings, parsed with the --input fields, so a bad
+    # value gets the same message from either
+    search.add_argument("--bits", help="element bit width n")
+    search.add_argument("--target", help="reference value b")
     search.add_argument("--array", help="comma-separated array values, e.g. 2,6")
     search.add_argument("--mode", choices=[m.value for m in Mode], help="execution mode")
-    search.add_argument("--shots", type=int, help="also sample this many shots")
-    search.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    search.add_argument("--shots", help="also sample this many shots")
+    search.add_argument("--seed", help="sampling seed (default 0)")
     search.add_argument("--input", help="read request fields from a key = value file")
     search.add_argument("--output", help="write the result document to this file")
     search.add_argument("--pretty", action="store_true", help="human-readable stdout")

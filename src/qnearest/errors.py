@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import operator
+from typing import Iterable
 
 
 class SimulatorError(Exception):
@@ -19,3 +22,22 @@ class NormDriftError(SimulatorError):
 
 class CapacityError(SimulatorError):
     """The requested state exceeds the configured amplitude cap."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int (``operator.index``, so NumPy integers pass and
+    a float such as 2.0 does not), or :class:`InvalidInputError` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} {value!r} is not an integer") from None
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints (:func:`_integer` on each), or
+    :class:`InvalidInputError` naming the first that is not an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # only a failing sequence is walked, to name its first non-integer
+        return tuple(_integer(value, what) for value in values)

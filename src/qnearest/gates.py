@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 
 GATE_UNITARY_TOLERANCE = 1e-12
 # Memo bounds. Rotations are 2x2 and a search uses up to 2n distinct angles.
@@ -35,6 +35,8 @@ class Gate:
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension",
+                           _integer(self.dimension, f"gate {self.label!r}: dimension"))
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (self.dimension, self.dimension):
             raise InvalidInputError(
@@ -68,7 +70,10 @@ class Gate:
 
 
 def _require_finite(theta: float) -> float:
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"angle must be a real number, got {theta!r}") from None
     if not math.isfinite(theta):
         raise InvalidInputError(f"angle must be finite, got {theta}")
     return theta
@@ -91,9 +96,12 @@ def hadamard() -> Gate:
     return Gate(2, np.array([[r, r], [r, -r]]), "H")
 
 
-@lru_cache(maxsize=MATRIX_MEMO_SIZE)
+# typed memos: pauli_x(dimension=2.0) must be rejected, not served the
+# entry of pauli_x(dimension=2), whose key compares equal
+@lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
 def pauli_x(dimension: int = 2) -> Gate:
     """Bit flip for dimension 2; the cyclic shift |k> -> |k+1 mod d> above."""
+    dimension = _integer(dimension, "dimension")
     if dimension < 2:
         raise InvalidInputError(f"dimension must be >= 2, got {dimension}")
     mat = np.zeros((dimension, dimension), dtype=np.complex128)
@@ -102,9 +110,10 @@ def pauli_x(dimension: int = 2) -> Gate:
     return Gate(dimension, mat, "X" if dimension == 2 else f"X{dimension}")
 
 
-@lru_cache(maxsize=MATRIX_MEMO_SIZE)
+@lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
 def fourier(dimension: int) -> Gate:
     """Discrete Fourier gate; sends |0> to the uniform superposition."""
+    dimension = _integer(dimension, "dimension")
     if dimension < 2:
         raise InvalidInputError(f"dimension must be >= 2, got {dimension}")
     j = np.arange(dimension)

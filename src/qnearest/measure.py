@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import Mode, SearchProblem, uses_score
-from .errors import InvalidInputError
-from .state import Role, StateVector, _integer, marginal_probabilities
+from .errors import InvalidInputError, _integer
+from .state import Role, StateVector, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
@@ -102,7 +102,8 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
     that NumPy's draws reject.
     """
     check_shots(shots)
-    rng = np.random.default_rng(int(seed) % (1 << 64))
+    seed = _integer(seed, "seed")
+    rng = np.random.default_rng(seed % (1 << 64))
     accepted = int(rng.binomial(shots, min(dist.postselect_probability, 1.0)))
     probs = np.clip(dist.probabilities, 0.0, None)
     tallies = rng.multinomial(accepted, probs / probs.sum())
@@ -110,5 +111,5 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
         counts={j: int(c) for j, c in enumerate(tallies)},
         shots=accepted,
         rejected=shots - accepted,
-        seed=int(seed),
+        seed=seed,
     )

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .builder import Mode, SearchProblem, run, validate_instance
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer, _integers
 from .measure import IndexDistribution, decide, index_distribution
-from .state import _integer, _integers
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,10 @@ def classical_nearest(a: Sequence[int], b: int) -> OracleReport:
     return OracleReport(tied[0], best, tied)
 
 
-def _cos2_half_angles(values: tuple[int, ...], b: int, n: int) -> list[float]:
-    # computed from integer distances so equal distances give bit-equal floats
-    return [math.cos(math.pi * abs(int(b) - v) / (1 << (n + 1))) ** 2 for v in values]
+def _cos2_half_angles(n: int, values: tuple[int, ...], b: int) -> list[float]:
+    # takes validate_instance's (n, a, b); computed from integer distances so
+    # equal distances give bit-equal floats
+    return [math.cos(math.pi * abs(b - v) / (1 << (n + 1))) ** 2 for v in values]
 
 
 def closed_form_paper(a: Sequence[int], b: int, n: int) -> IndexDistribution:
@@ -58,10 +58,10 @@ def closed_form_paper(a: Sequence[int], b: int, n: int) -> IndexDistribution:
     P(0) = [cos^2(t0/2) + sin^2(t1/2)] / 2 with t_j = pi (b - a_j) / 2^n;
     both terms are even in the angle, so only distances matter.
     """
-    values = validate_instance(a, b, n)
+    n, values, b = validate_instance(a, b, n)
     if len(values) != 2:
         raise InvalidInputError(f"closed form covers exactly 2 elements, got {len(values)}")
-    c0, c1 = _cos2_half_angles(values, b, n)
+    c0, c1 = _cos2_half_angles(n, values, b)
     p0 = (c0 + (1.0 - c1)) / 2.0
     return IndexDistribution((p0, 1.0 - p0), 1.0, Mode.PAPER)
 
@@ -73,11 +73,10 @@ def closed_form_generalized(a: Sequence[int], b: int, n: int) -> IndexDistributi
     the post-selection probability times m. Every weight is positive because
     |t_j| < pi for n-bit values, so post-selection never starves.
     """
-    values = validate_instance(a, b, n)
-    weights = _cos2_half_angles(values, b, n)
+    weights = _cos2_half_angles(*validate_instance(a, b, n))
     total = sum(weights)
     return IndexDistribution(
-        tuple(w / total for w in weights), total / len(values), Mode.GENERAL
+        tuple(w / total for w in weights), total / len(weights), Mode.GENERAL
     )
 
 
@@ -114,18 +113,20 @@ def agreement_sweep(
     Runs the general pipeline on every cell and the paper pipeline where
     m = 2, ``count`` instances per (n, m) cell, reproducibly seeded.
     """
+    max_bits, max_m = _integers((max_bits, max_m), "sweep bound")
+    count = _integer(count, "instance count")
     if max_bits < 1 or max_m < 1:
         raise InvalidInputError("sweep bounds must be >= 1")
     if count < 1:
         raise InvalidInputError(f"instance count must be >= 1, got {count}")
-    rng = np.random.default_rng(int(seed) % (1 << 64))
+    rng = np.random.default_rng(_integer(seed, "seed") % (1 << 64))
     rows = []
     for n in range(1, max_bits + 1):
         for m in range(1, max_m + 1):
             unique = agreed_general = agreed_paper = ties = ties_ok = 0
             for _ in range(count):
-                a = tuple(int(v) for v in rng.integers(0, 1 << n, m))
-                b = int(rng.integers(0, 1 << n))
+                a = tuple(rng.integers(0, 1 << n, m).tolist())
+                b = rng.integers(0, 1 << n).item()
                 report = classical_nearest(a, b)
                 decided = _pipeline_decision(n, a, b, Mode.GENERAL)
                 decisions = [decided]

@@ -47,9 +47,10 @@ them four ways:
   once per column, not once per stored entry. From a basis state, an
   uncontrolled gate writes one column of its matrix instead.
 
-Each table works out at construction what its check and the kernel read
-off it (a flip table's flipped sites and their submatrix, a rotation
-table's control sites and digits as int64 arrays), and each
+A flip table works out at construction what its check and the kernel read
+off it (its flipped sites and their submatrix); a rotation table converts
+its controls to int pairs at construction and builds the int64 arrays the
+kernel reads on first read, after its check has range-checked them. Each
 :class:`RegisterLayout` holds its strides as an int64 array, built on
 first read; the builder shares one layout per problem shape.
 
@@ -57,9 +58,11 @@ It norm-checks every gate and every table (a flip table moves no
 amplitude) against a running squared norm, at ``NORM_TOLERANCE`` and
 NaN-safe, and raises :class:`NormDriftError` instead of renormalizing.
 Unitarity is checked where a matrix enters, by :class:`~qnearest.gates.Gate`:
-circuit gates are built as one, and :func:`apply_controlled` wraps its raw
-matrix in one. Each ``Gate`` works out once whether its matrix is a
-permutation matrix (:attr:`~qnearest.gates.Gate.permutation`).
+circuit gates are built as one, and :func:`apply_controlled` builds its raw
+matrix into one and checks the resulting :class:`CircuitGate` through the
+same ``check`` a circuit runs, so a gate has one check path. Each ``Gate``
+works out once whether its matrix is a permutation matrix
+(:attr:`~qnearest.gates.Gate.permutation`).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NormDriftError
+from .errors import CapacityError, InvalidInputError, NormDriftError, _integer, _integers
 from .gates import Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
@@ -103,6 +106,8 @@ class Site:
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension",
+                           _integer(self.dimension, f"site {self.label!r}: dimension"))
         if self.dimension < 2:
             raise InvalidInputError(
                 f"site {self.label!r}: dimension must be >= 2, got {self.dimension}"
@@ -162,11 +167,7 @@ class RegisterLayout:
     def _checked(self, digits: Sequence[int]) -> tuple[int, ...]:
         """``digits`` as ints, one per site and each in its site's range,
         or :class:`InvalidInputError` (a digit such as 0.5 included)."""
-        digits = tuple(digits)
-        try:
-            digits = tuple(map(operator.index, digits))
-        except TypeError:
-            raise InvalidInputError(f"digits {digits!r} are not all integers") from None
+        digits = _integers(digits, "digit")
         if len(digits) != len(self.sites):
             raise InvalidInputError(
                 f"expected {len(self.sites)} digits, got {len(digits)}"
@@ -275,8 +276,14 @@ def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVect
     Raises :class:`CapacityError` for a layout of more than
     ``MAX_AMPLITUDES`` amplitudes, whose flat indices would overflow int64.
     """
+    return _basis_state(layout, layout._checked(digits))
+
+
+def _basis_state(layout: RegisterLayout, digits: tuple[int, ...]) -> StateVector:
+    # ``digits`` come from ``layout._checked``: a circuit checks its initial
+    # digits once, when it is built, and runs from here
     _check_capacity(layout)
-    column = np.array(layout._checked(digits), dtype=np.int64)[:, None]
+    column = np.array(digits, dtype=np.int64)[:, None]
     return _frozen(layout, column, np.ones(1, dtype=np.complex128))
 
 
@@ -326,23 +333,25 @@ def apply_controlled(
     ``controls`` is a sequence of ``(site, required digit)`` pairs; a pair
     with digit 0 is a negative control, so no X-conjugation sandwich is
     needed. Value in, value out, through :func:`apply_gates`, the kernel
-    the circuit loop uses. Callers pass raw matrices here, so the sites
-    are checked and the matrix is built into a
-    :class:`~qnearest.gates.Gate` (shape and unitarity) on every call, and
-    the running norm starts from the input's measured squared norm.
+    the circuit loop uses. Callers pass raw matrices here, so on every call
+    the matrix is built into a :class:`~qnearest.gates.Gate` labelled
+    ``'matrix'`` (shape and unitarity), and the resulting
+    :class:`CircuitGate` is checked by :meth:`CircuitGate.check`, as a
+    circuit checks its gates; its messages begin ``gate 'matrix': ``. The
+    running norm starts from the input's measured squared norm.
     """
-    layout = state.layout
-    controls = tuple(controls)
-    check_gate_sites(layout.dims, controls, target)
-    gate = Gate(layout.dims[target], matrix, "matrix")
-    return apply_gates(state, [CircuitGate(gate, controls, target)], squared_norm(state.values))
+    # the gate takes its matrix's own dimension; ``check`` compares it with the target's
+    step = CircuitGate(Gate(len(np.atleast_1d(matrix)), matrix, "matrix"), tuple(controls), target)
+    step.check(state.layout.dims)
+    return apply_gates(state, [step], squared_norm(state.values))
 
 
 def check_gate_sites(
     dims: Sequence[int], controls: Sequence[tuple[int, int]], target: int
 ) -> None:
-    """Reject unknown or non-integer sites, control digits out of range or
-    not integers, and any site used twice.
+    """Reject unknown or non-integer sites, a control that is not a
+    ``(site, digit)`` pair, control digits out of range or not integers,
+    and any site used twice.
 
     A control on the gate's own target would make :func:`apply_gates`
     select the wrong amplitudes instead of failing, and a control digit
@@ -352,8 +361,12 @@ def check_gate_sites(
     target = _integer(target, "target site")
     if not 0 <= target < nsites:
         raise InvalidInputError(f"unknown target site {target}")
+    try:
+        pairs = [(site, digit) for site, digit in controls]
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"malformed controls: {err}") from None
     seen = {target}
-    for site, digit in controls:
+    for site, digit in pairs:
         site, digit = _integer(site, "control site"), _integer(digit, "control digit")
         if not 0 <= site < nsites:
             raise InvalidInputError(f"unknown control site {site}")
@@ -364,23 +377,6 @@ def check_gate_sites(
             raise InvalidInputError(
                 f"control digit {digit} out of range for site {site} (dim {dims[site]})"
             )
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} {value!r} is not an integer") from None
-
-
-def _integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints (``operator.index`` on each), or
-    :class:`InvalidInputError` naming the first that is not an integer."""
-    values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:  # only a failing sequence is walked, to name its first non-integer
-        return tuple(_integer(value, what) for value in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,17 +458,16 @@ class MultiplexedRotation:
     read-only float copy; a circuit checks the table against its layout
     with :meth:`check`.
 
-    Every control site and digit must be an integer that fits in int64, or
-    construction raises :class:`InvalidInputError`. ``controls`` is stored
-    as a tuple of int pairs, and the same sites and digits once more as the
-    read-only int64 arrays ``sites`` and ``digits`` that the kernel reads.
+    Every control must be a pair of integers, or construction raises
+    :class:`InvalidInputError`; ``controls`` is stored as a tuple of int
+    pairs. Their ranges are checked by :meth:`check`, so the read-only
+    int64 arrays the kernel reads, :attr:`sites` and :attr:`digits`, are
+    built on first read, after a circuit has checked the table.
     """
 
     target: int
     controls: tuple[tuple[int, int], ...]
     angles: np.ndarray
-    sites: np.ndarray = field(init=False, repr=False)
-    digits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -481,11 +476,19 @@ class MultiplexedRotation:
         except (TypeError, ValueError) as err:
             raise InvalidInputError(f"malformed rotation table: {err}") from None
         sites, digits = zip(*pairs) if pairs else ((), ())
-        sites, digits = _int64_array(sites, "control site"), _int64_array(digits, "control digit")
-        object.__setattr__(self, "controls", tuple(zip(sites.tolist(), digits.tolist())))
+        controls = zip(_integers(sites, "control site"), _integers(digits, "control digit"))
+        object.__setattr__(self, "controls", tuple(controls))
         object.__setattr__(self, "angles", _read_only(angles))
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "digits", digits)
+
+    @cached_property
+    def sites(self) -> np.ndarray:
+        """Each row's control site, as a read-only int64 array."""
+        return _read_only(np.array([site for site, _ in self.controls], dtype=np.int64))
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Each row's control digit, as a read-only int64 array."""
+        return _read_only(np.array([digit for _, digit in self.controls], dtype=np.int64))
 
     def check(self, dims: Sequence[int]) -> None:
         """Reject a table whose gates would fail as circuit gates.
@@ -516,17 +519,6 @@ class MultiplexedRotation:
         """One single-control ``rx`` gate per row, in row order."""
         return tuple(CircuitGate(rx(angle), (control,), self.target)
                      for control, angle in zip(self.controls, self.angles.tolist()))
-
-
-def _int64_array(values: Sequence, what: str) -> np.ndarray:
-    """Read-only int64 array of ``values``, each an integer (:func:`_integers`)
-    that fits in int64, or :class:`InvalidInputError` naming the first that is not."""
-    values = _integers(values, what)
-    try:
-        return _read_only(np.array(values, dtype=np.int64))
-    except OverflowError:
-        value = next(v for v in values if not -MAX_AMPLITUDES - 1 <= v <= MAX_AMPLITUDES)
-        raise InvalidInputError(f"{what} {value} does not fit in int64") from None
 
 
 def _selected(digits: np.ndarray, controls) -> np.ndarray | slice:
@@ -697,9 +689,9 @@ def apply_gates(
     :attr:`~StateVector.indices` and :attr:`~StateVector.amplitudes` are
     derived only when read.
 
-    Sites and matrices are trusted: :class:`~qnearest.builder.Circuit`
-    checked every step with its ``check`` (:func:`apply_controlled` its
-    gate's sites), and :class:`~qnearest.gates.Gate` checked unitarity.
+    Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` and
+    :func:`apply_controlled` checked every step with its ``check``, and
+    :class:`~qnearest.gates.Gate` checked unitarity.
     """
     layout = state.layout
     digits, values = state.digits.copy(), state.values.copy()

@@ -483,7 +483,7 @@ def test_a_circuit_gate_with_a_fractional_control_digit_is_rejected():
 
 def test_a_circuit_with_a_fractional_initial_digit_is_rejected():
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
-    with pytest.raises(InvalidInputError, match="not all integers"):
+    with pytest.raises(InvalidInputError, match="digit 0.5 is not an integer"):
         Circuit(layout, (0.5, 1, 0, 0), ())
 
 
@@ -500,9 +500,9 @@ def test_a_flip_table_with_a_float_control_site_is_rejected():
         (((0, 1.5),), "control digit 1.5 is not an integer"),
         (((0, 1.0),), "control digit 1.0 is not an integer"),
         (((0.0, 1),), "control site 0.0 is not an integer"),
-        (((0, 1 << 63),), f"control digit {1 << 63} does not fit in int64"),
-        (((0, -(1 << 63) - 1),), f"control digit {-(1 << 63) - 1} does not fit in int64"),
-        (((1 << 64, 0),), f"control site {1 << 64} does not fit in int64"),
+        (((0, 1 << 63),), f"control digit {1 << 63} out of range for site 0"),
+        (((0, -(1 << 63) - 1),), f"control digit {-(1 << 63) - 1} out of range for site 0"),
+        (((1 << 64, 0),), f"unknown control site {1 << 64}"),
         (((0, 1, 2),), "malformed rotation table"),
         (5, "malformed rotation table"),
     ],
@@ -510,10 +510,13 @@ def test_a_flip_table_with_a_float_control_site_is_rejected():
          "digit-below-int64", "site-past-int64", "row-not-a-pair", "controls-not-rows"],
 )
 def test_a_rotation_table_with_a_non_int64_control_fails_construction(controls, message):
-    # the table casts its rows to int64, where 1.5 would become digit 1 while
-    # its expanded gate never fires; construction raises only InvalidInputError
+    # the kernel reads the rows as int64, where 1.5 would become digit 1 while
+    # its expanded gate never fires: a non-integer or malformed row fails the
+    # table's construction, and a row past int64 fails the circuit's range
+    # check, before the kernel's int64 arrays are built; only InvalidInputError
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     with pytest.raises(InvalidInputError, match=message):
-        MultiplexedRotation(3, controls, [0.1])
+        Circuit(layout, (0,) * 4, (MultiplexedRotation(3, controls, [0.1]),))
 
 
 def test_a_rotation_table_keeps_int64_arrays_of_its_rows():
@@ -599,3 +602,29 @@ def test_concurrent_runs_match_serial_results():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda p: index_distribution(run(p), p).probabilities, problems))
     assert threaded == serial
+
+
+@pytest.mark.parametrize("controls", [(1,), ((0, 1, 1),), ((0,),), 5],
+                         ids=["bare-site", "triple", "single", "not-iterable"])
+def test_a_circuit_gate_whose_control_is_not_a_pair_is_rejected(controls):
+    # a bare TypeError used to come from unpacking the control
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    with pytest.raises(InvalidInputError, match="gate 'X': malformed controls"):
+        Circuit(layout, (0,) * 4, (CircuitGate(pauli_x(2), controls, 1),))
+
+
+def test_a_circuit_keeps_its_initial_digits_as_checked_ints():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    circuit = Circuit(layout, [np.int64(1), np.uint8(0), 2, 0], ())
+    assert circuit.initial_digits == (1, 0, 2, 0)
+    assert all(type(d) is int for d in circuit.initial_digits)
+    assert execute_circuit(circuit).digits[:, 0].tolist() == [1, 0, 2, 0]
+
+
+def test_a_problem_rejects_an_unknown_mode_and_a_non_integer_cap():
+    with pytest.raises(InvalidInputError,
+                       match="mode must be one of paper, general, full; got 'bogus'"):
+        SearchProblem(3, (1, 2), 3, "bogus")
+    with pytest.raises(InvalidInputError, match="amplitude cap 1024.0 is not an integer"):
+        SearchProblem(3, (1, 2), 3, Mode.GENERAL, 1024.0)
+    assert SearchProblem(3, (1, 2), 3, "general", np.int64(1024)).amplitude_cap == 1024

@@ -333,3 +333,18 @@ def test_any_input_file_ends_in_a_documented_exit_code(request_file, text):
     assert code in (0, 1, 2, 3)
     assert (code == 0) == (not err.getvalue().startswith("error:"))
     assert "Traceback" not in err.getvalue()
+
+
+_FLAGS = {"n": "--bits", "b": "--target", "a": "--array", "shots": "--shots", "seed": "--seed"}
+
+
+@pytest.mark.parametrize("key", ["n", "b", "shots", "seed"])
+@pytest.mark.parametrize("value", ["x", "2.5", ""])
+def test_a_bad_integer_gets_one_message_from_a_flag_or_a_file(capsys, tmp_path, key, value):
+    # the integer flags used to be parsed by argparse first, with its own message
+    fields = {"n": "3", "b": "5", "a": "2,6", key: value}
+    path = tmp_path / "request.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    from_file = run_cli(capsys, "search", "--input", str(path))
+    from_flags = run_cli(capsys, "search", *(arg for k, v in fields.items() for arg in (_FLAGS[k], v)))
+    assert from_flags == from_file == (1, "", f"error: {key} must be an integer, got {value!r}\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from qnearest import Gate, comparison_gate, fourier, hadamard, pauli_x, rx
+from qnearest import Gate, comparison_gate, fourier, hadamard, pauli_x, rotation_schedule, rx
 from qnearest.errors import InvalidInputError
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
@@ -170,3 +170,30 @@ def test_a_gate_classifies_its_matrix_once():
     assert Gate(2, np.eye(2), "I").permutation.tolist() == [0, 0]
     for gate in (hadamard(), fourier(4), rx(0.3)):
         assert gate.permutation is None
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gate(2.0, np.eye(2), "g"), "gate 'g': dimension 2.0 is not an integer"),
+        (lambda: pauli_x(2.0), "dimension 2.0 is not an integer"),
+        (lambda: pauli_x(dimension=2.0), "dimension 2.0 is not an integer"),
+        (lambda: fourier(3.0), "dimension 3.0 is not an integer"),
+        (lambda: fourier(dimension=3.0), "dimension 3.0 is not an integer"),
+        (lambda: rotation_schedule(2.0), "bit width 2.0 is not an integer"),
+        (lambda: rotation_schedule(n=2.0), "bit width 2.0 is not an integer"),
+        (lambda: rx("a"), "angle must be a real number, got 'a'"),
+        (lambda: rx(None), "angle must be a real number, got None"),
+    ],
+    ids=["gate", "pauli_x", "pauli_x-keyword", "fourier", "fourier-keyword", "rotation_schedule",
+         "rotation_schedule-keyword", "rx-string", "rx-none"],
+)
+def test_gate_constructors_reject_non_integer_dimensions_and_non_real_angles(make, message):
+    # they used to raise a bare TypeError or ValueError; the int entries are
+    # memoized first, so an equal float must not be served their gate (a
+    # keyword call's memo key compares 2.0 equal to 2 unless the memo is typed)
+    pauli_x(2), fourier(3), rotation_schedule(2)
+    pauli_x(dimension=2), fourier(dimension=3), rotation_schedule(n=2)
+    with pytest.raises(InvalidInputError, match=message):
+        make()
+    assert type(Gate(np.int64(2), np.eye(2), "I").dimension) is int

@@ -208,3 +208,14 @@ def test_counts_at_a_trillion_shots_are_within_six_sigma(seed):
         # unconditionally, index j's count is binomial(shots, q * p)
         pj = q * p
         assert abs(counts.counts[j] - shots * pj) <= 6 * math.sqrt(shots * pj * (1 - pj))
+
+
+def test_a_non_integer_seed_is_rejected_not_truncated():
+    # 1.5 used to run as seed 1 and report seed=1
+    dist = IndexDistribution((0.25, 0.75), 0.5)
+    with pytest.raises(InvalidInputError, match="seed 1.5 is not an integer"):
+        sample(dist, 10, seed=1.5)
+    # NumPy integers and negative seeds run as before: the seed modulo 2^64
+    assert sample(dist, 1000, seed=np.int64(-3)) == sample(dist, 1000, seed=-3)
+    assert sample(dist, 1000, seed=-3).counts == sample(dist, 1000, seed=(1 << 64) - 3).counts
+    assert type(sample(dist, 10, seed=np.uint8(7)).seed) is int

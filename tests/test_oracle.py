@@ -207,3 +207,22 @@ def test_sweep_validates_bounds():
         agreement_sweep(2, 2, 0)
     with pytest.raises(InvalidInputError):
         agreement_sweep(0, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((1, 1, 1, 1.5), "seed 1.5"), ((2, 2, 1.5), "instance count 1.5"),
+     ((2.0, 2, 1), "sweep bound 2.0"), ((2, "2", 1), "sweep bound '2'")],
+    ids=["seed", "count", "max-bits", "max-m"],
+)
+def test_sweep_rejects_non_integer_bounds_and_seeds(args, message):
+    # a 1.5 seed used to run as seed 1, and a 1.5 count raised a bare TypeError
+    with pytest.raises(InvalidInputError, match=f"{message} is not an integer"):
+        agreement_sweep(*args)
+
+
+def test_sweep_accepts_numpy_integers_and_negative_seeds():
+    rows = agreement_sweep(np.int64(2), np.uint8(2), np.int32(3), np.int64(-5))
+    assert rows == agreement_sweep(2, 2, 3, -5)
+    assert all(type(row.instances) is int for row in rows)
+    assert agreement_sweep(1, 2, 3, -5) == agreement_sweep(1, 2, 3, (1 << 64) - 5)

@@ -54,9 +54,9 @@ def test_basis_state_rejects_non_integer_digits(digits):
     # 0.5 * stride would land on a real flat index (here 2), and an int64
     # digit array would truncate 0.5 to 0
     layout = make_layout(2, 3)
-    with pytest.raises(InvalidInputError, match="not all integers"):
+    with pytest.raises(InvalidInputError, match="digit .* is not an integer"):
         init_basis_state(layout, digits)
-    with pytest.raises(InvalidInputError, match="not all integers"):
+    with pytest.raises(InvalidInputError, match="digit .* is not an integer"):
         layout.flatten(digits)
 
 
@@ -446,3 +446,33 @@ def test_inner_product_requires_matching_layouts():
             init_basis_state(make_layout(2), (0,)),
             init_basis_state(make_layout(2, 2), (0, 0)),
         )
+
+
+def test_a_non_integer_site_dimension_is_rejected():
+    # 2.5 used to build a layout of total dimension 5.0 that accepted digit 2
+    # and then failed on .amplitudes with a bare TypeError
+    with pytest.raises(InvalidInputError, match="site 's0': dimension 2.5 is not an integer"):
+        make_layout(2.5, 2)
+    layout = make_layout(np.int64(2), np.uint8(3))
+    assert layout.dims == (2, 3) and type(layout.total_dimension) is int
+    assert all(type(d) is int for d in layout.dims)
+
+
+@pytest.mark.parametrize(
+    "controls, target, matrix, message",
+    [
+        ((1,), 1, pauli_x(2).matrix, "malformed controls"),
+        (((0, 1, 1),), 1, pauli_x(2).matrix, "malformed controls"),
+        ((), 2, pauli_x(2).matrix, "unknown target site 2"),
+        ((), 1, pauli_x(3).matrix, "dimension 3 does not match target site dimension 2"),
+        ((), 1, np.array([[1, 0], [0, 2]]), "is not unitary"),
+    ],
+    ids=["control-not-a-pair", "control-of-three", "unknown-target", "dimension-mismatch",
+         "not-unitary"],
+)
+def test_apply_controlled_checks_its_gate_as_a_circuit_does(controls, target, matrix, message):
+    # one check path: the raw matrix becomes Gate 'matrix', and the step is
+    # checked by CircuitGate.check, whose messages name the gate
+    state = init_basis_state(make_layout(2, 2), (0, 0))
+    with pytest.raises(InvalidInputError, match=f"gate 'matrix':? .*{message}"):
+        apply_controlled(state, controls, target, matrix)
