@@ -53,7 +53,6 @@ from .state import (
     StateVector,
     apply_controlled,
     init_basis_state,
-    inner_product,
     marginal_probabilities,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "hadamard",
     "index_distribution",
     "init_basis_state",
-    "inner_product",
     "load_superposition",
     "marginal_probabilities",
     "net_rotation_angle",

@@ -69,11 +69,16 @@ class Mode(str, Enum):
 class SearchProblem:
     """One search instance: find the element of ``a`` nearest to ``b``.
 
-    All values are n-bit unsigned integers. ``amplitude_cap`` bounds the
-    layout's amplitude count, and so the size of a dense
-    ``StateVector.amplitudes``; exceeding it raises :class:`CapacityError`
-    before anything is allocated. A run itself stores only the state's
-    support, at most 2m amplitudes.
+    All values are n-bit unsigned integers. ``amplitude_cap`` bounds two
+    counts, and exceeding either raises :class:`CapacityError` before
+    anything is allocated:
+
+    - the layout's amplitude count, and so the size of the one dense view,
+      ``StateVector.amplitudes``;
+    - the d x d entries of the superposition gate on the d = max(2, m)
+      level index qudit, which is built and checked as a dense matrix.
+
+    A run itself stores only the state's support, at most 2m amplitudes.
     """
 
     n: int
@@ -96,10 +101,11 @@ class SearchProblem:
             raise CapacityError(
                 f"state needs over 2^{self.n} amplitudes, cap is {self.amplitude_cap}"
             )
-        size = self.state_size()
-        if size > self.amplitude_cap:
+        size, entries = self.state_size(), _index_dimension(self.m) ** 2
+        if max(size, entries) > self.amplitude_cap:
             raise CapacityError(
-                f"state needs {size} amplitudes, cap is {self.amplitude_cap}"
+                f"state needs {size} amplitudes and its superposition gate {entries} "
+                f"matrix entries, cap is {self.amplitude_cap}"
             )
 
     @property

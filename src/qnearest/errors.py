@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, and the one integer and
+sequence check."""
 
 import operator
 from typing import Iterable
@@ -33,10 +34,20 @@ def _integer(value, what: str) -> int:
         raise InvalidInputError(f"{what} {value!r} is not an integer") from None
 
 
+def _sequence(values: Iterable, what: str) -> tuple:
+    """``values`` as a tuple, or :class:`InvalidInputError` if it cannot be
+    iterated (a bare integer in place of a list of them, say)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"expected a sequence of {what}s, got {values!r}") from None
+
+
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints (:func:`_integer` on each), or
-    :class:`InvalidInputError` naming the first that is not an integer."""
-    values = tuple(values)
+    :class:`InvalidInputError` naming the first that is not an integer, or
+    saying that ``values`` is not a sequence."""
+    values = _sequence(values, what)
     try:
         return tuple(map(operator.index, values))
     except TypeError:  # only a failing sequence is walked, to name its first non-integer

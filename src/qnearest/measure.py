@@ -22,7 +22,8 @@ class IndexDistribution:
 
     ``postselect_probability`` is the chance the score qubit reads 0, i.e.
     the fraction of shots the conditional distribution keeps; it is 1.0 for
-    modes without a score qubit.
+    modes without a score qubit. Both are stored as floats; a value that is
+    not a real number raises :class:`InvalidInputError`.
     """
 
     probabilities: tuple[float, ...]
@@ -30,18 +31,21 @@ class IndexDistribution:
     mode: Mode | None = None
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probabilities)
+        try:
+            probs = tuple(map(float, self.probabilities))
+            keep = float(self.postselect_probability)
+        except (TypeError, ValueError) as err:
+            raise InvalidInputError(f"malformed distribution: {err}") from None
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "postselect_probability", keep)
         if not probs:
             raise InvalidInputError("distribution must cover at least one index")
         if not all(p >= -1e-12 for p in probs):  # also true for NaN
             raise InvalidInputError("negative or NaN probability")
         if not abs(sum(probs) - 1.0) <= PROBABILITY_SUM_TOLERANCE:
             raise InvalidInputError(f"probabilities sum to {sum(probs)!r}, not 1")
-        if not 0.0 < self.postselect_probability <= 1.0 + 1e-12:
-            raise InvalidInputError(
-                f"post-selection probability {self.postselect_probability!r} outside (0, 1]"
-            )
+        if not 0.0 < keep <= 1.0 + 1e-12:
+            raise InvalidInputError(f"post-selection probability {keep!r} outside (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,22 @@
 """Support-sparse state vectors over mixed-radix registers.
 
-Amplitude ordering is row-major over the site list: the first site is the
-most significant digit of the flattened index, so a layout with dimensions
-(2, 2, 2, 2) stores the basis state with digits (0, 1, 0, 1) at flat index
-0b0101 = 5.
-
 A :class:`StateVector` stores only its support, as digits: a site-major
 int64 array of shape ``(sites, k)``, one row per site and one column per
 nonzero amplitude, beside those ``k`` amplitudes in the same order, with
-exact zeros dropped after every gate or run. Every circuit here is a basis
-state passed through controlled permutations, one H or Fourier gate and
-controlled rotations, so a final state has at most 2m nonzero amplitudes
-however large the layout is, and a gate costs O(support), not O(product of
-dims). Gates and marginals read and write digit rows, and never divide a
-flat index. The flat indices (:attr:`StateVector.indices`) and the dense
-amplitude vector (:attr:`StateVector.amplitudes`) are derived only when
-something reads them; the fibre grouping sorts by flat keys.
+exact zeros dropped after every gate or run. A state is built by
+:func:`init_basis_state` and changed only by the gates. Every circuit here
+is a basis state passed through controlled permutations, one H or Fourier
+gate and controlled rotations, so a final state has at most 2m nonzero
+amplitudes however large the layout is, and a gate costs O(support), not
+O(product of dims). Gates and marginals read and write digit rows, and
+never divide a flat index.
+
+The one dense view is :attr:`StateVector.amplitudes`, built only when
+something reads it; no search reads it. It orders amplitudes row-major
+over the site list: the first site is the most significant digit of the
+flat index, so a layout with dimensions (2, 2, 2, 2) stores the basis
+state with digits (0, 1, 0, 1) at flat index 0b0101 = 5. The fibre
+grouping sorts by the same flat keys.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
@@ -68,7 +69,6 @@ works out once whether its matrix is a permutation matrix
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -77,7 +77,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NormDriftError, _integer, _integers
+from .errors import CapacityError, InvalidInputError, NormDriftError, _integer, _integers, _sequence
 from .gates import Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
@@ -152,17 +152,14 @@ class RegisterLayout:
     @cached_property
     def strides_array(self) -> np.ndarray:
         """:attr:`strides` as a read-only int64 array, built on first read:
-        the flat index of a digit column is its dot product with it.
+        the flat index of a digit column is its dot product with it. The
+        fibre grouping's sort key and :attr:`StateVector.amplitudes` read it.
 
         Raises :class:`CapacityError` past ``MAX_AMPLITUDES`` amplitudes,
         where they could overflow int64; no state lives on such a layout.
         """
         _check_capacity(self)
         return _read_only(np.array(self.strides, dtype=np.int64))
-
-    def flatten(self, digits: Sequence[int]) -> int:
-        """Flat amplitude index of a per-site digit tuple."""
-        return sum(map(operator.mul, self._checked(digits), self.strides))
 
     def _checked(self, digits: Sequence[int]) -> tuple[int, ...]:
         """``digits`` as ints, one per site and each in its site's range,
@@ -178,12 +175,6 @@ class RegisterLayout:
                     f"digit {digit} out of range for site {site.label!r} (dim {dim})"
                 )
         return digits
-
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        index = _integer(index, "flat index")
-        if not 0 <= index < self.total_dimension:
-            raise InvalidInputError(f"flat index {index} out of range")
-        return tuple((index // s) % d for s, d in zip(self.strides, self.dims))
 
     def sites_of(self, role: Role) -> tuple[int, ...]:
         """Indices of all sites with the given role, in layout order."""
@@ -205,44 +196,26 @@ class StateVector:
     holds the per-site digits of the j-th stored basis state, and no two
     columns are equal. ``values`` holds the ``k`` nonzero amplitudes in the
     same order. Both are frozen so shared states cannot be corrupted across
-    threads. Construct through :func:`init_basis_state` or
-    :meth:`from_amplitudes`; the raw constructor trusts its arguments.
+    threads. A state is built by :func:`init_basis_state` and changed by the
+    gates (:func:`apply_controlled`, :func:`apply_gates`); the raw
+    constructor trusts its arguments. :attr:`amplitudes` is its one dense
+    view.
     """
 
     layout: RegisterLayout
     digits: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def from_amplitudes(cls, layout: RegisterLayout, amplitudes: Iterable[complex]) -> StateVector:
-        amps = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
-                          dtype=np.complex128)
-        if amps.shape != (layout.total_dimension,):
-            raise InvalidInputError(
-                f"expected {layout.total_dimension} amplitudes, got shape {amps.shape}"
-            )
-        indices = np.flatnonzero(amps)
-        values = amps[indices]
-        _check_norm(squared_norm(values))
-        return _frozen(layout, np.array(np.unravel_index(indices, layout.dims)), values)
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """The int64 flat index of each stored entry, in storage order.
-
-        Read-only, derived from :attr:`digits` on first read; gates never
-        read it.
-        """
-        return _read_only(self.layout.strides_array @ self.digits)
-
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """The dense, read-only amplitude vector of ``layout.total_dimension`` entries.
 
-        Built on first read; a run itself never builds it.
+        Built on first read, each stored value at its digits' flat index
+        (their dot product with :attr:`RegisterLayout.strides_array`); a
+        search never builds it.
         """
         amps = np.zeros(self.layout.total_dimension, dtype=np.complex128)
-        amps[self.indices] = self.values
+        amps[self.layout.strides_array @ self.digits] = self.values
         amps.flags.writeable = False
         return amps
 
@@ -341,7 +314,8 @@ def apply_controlled(
     running norm starts from the input's measured squared norm.
     """
     # the gate takes its matrix's own dimension; ``check`` compares it with the target's
-    step = CircuitGate(Gate(len(np.atleast_1d(matrix)), matrix, "matrix"), tuple(controls), target)
+    gate = Gate(len(np.atleast_1d(matrix)), matrix, "matrix")
+    step = CircuitGate(gate, _sequence(controls, "control"), target)
     step.check(state.layout.dims)
     return apply_gates(state, [step], squared_norm(state.values))
 
@@ -685,9 +659,8 @@ def apply_gates(
 
     The support is stored as digits (see :class:`StateVector`), so every
     step reads and writes digit rows; no step reads a flat index except as
-    the sort key of a fibre grouping. The returned state's
-    :attr:`~StateVector.indices` and :attr:`~StateVector.amplitudes` are
-    derived only when read.
+    the sort key of a fibre grouping. The returned state's dense view,
+    :attr:`~StateVector.amplitudes`, is derived only when read.
 
     Sites and matrices are trusted: :class:`~qnearest.builder.Circuit` and
     :func:`apply_controlled` checked every step with its ``check``, and
@@ -745,15 +718,3 @@ def marginal_probabilities(state: StateVector, sites: Sequence[int]) -> np.ndarr
         cell = cell * layout.dims[s] + state.digits[s]
     probs = np.bincount(cell, weights=np.abs(state.values) ** 2, minlength=math.prod(shape))
     return probs.reshape(shape)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product, conjugate-linear in ``a``.
-
-    Only indices stored in both supports contribute, so the cost is
-    O(support) however large the layout is.
-    """
-    if a.layout != b.layout:
-        raise InvalidInputError("states live on different layouts")
-    _, ia, ib = np.intersect1d(a.indices, b.indices, assume_unique=True, return_indices=True)
-    return complex(np.vdot(a.values[ia], b.values[ib]))

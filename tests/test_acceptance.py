@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import make_layout, random_state, random_unitary
+from dense import flatten, from_amplitudes
 from qnearest import (
     Mode,
     SearchProblem,
-    StateVector,
     apply_controlled,
     classical_nearest,
     closed_form_generalized,
@@ -110,8 +110,8 @@ def test_criterion_02_superposition_golden_state():
     with criterion("C2", "loaded state equals (|010>|0> + |110>|1>)/sqrt(2) to 1e-12"):
         state = load_superposition(SearchProblem(3, (2, 6), 5, Mode.PAPER))
         expected = np.zeros(16, dtype=complex)
-        expected[state.layout.flatten((0, 1, 0, 0))] = 2 ** -0.5
-        expected[state.layout.flatten((1, 1, 0, 1))] = 2 ** -0.5
+        expected[flatten(state.layout, (0, 1, 0, 0))] = 2 ** -0.5
+        expected[flatten(state.layout, (1, 1, 0, 1))] = 2 ** -0.5
         assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
@@ -248,7 +248,7 @@ def test_criterion_09_norm_survives_long_circuits():
         rng = np.random.default_rng(999)
         layout = make_layout(2, 2, 3, 4, 2)
         nsites = len(layout.dims)
-        state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+        state = from_amplitudes(layout, random_state(rng, layout.total_dimension))
         for _ in range(1000):
             target = int(rng.integers(nsites))
             free = [s for s in range(nsites) if s != target]

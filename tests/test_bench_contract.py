@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given
 
 from conftest import instances
+from dense import flat_indices
 from qnearest import (
     Circuit,
     Mode,
@@ -86,8 +87,8 @@ def test_final_state_amplitudes_are_dense_read_only_and_match_the_support(proble
     assert isinstance(amps, np.ndarray)
     assert amps.shape == (problem.layout.total_dimension,)
     assert not amps.flags.writeable
-    assert np.count_nonzero(amps) == state.indices.size
-    assert np.array_equal(amps[state.indices], state.values)
+    assert np.count_nonzero(amps) == flat_indices(state).size
+    assert np.array_equal(amps[flat_indices(state)], state.values)
 
 
 @pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import instances
+from dense import flat_indices, flatten
 from qnearest import (
     Circuit,
     CircuitGate,
@@ -118,8 +119,8 @@ def test_worked_example_net_angle():
 def test_loaded_state_is_the_golden_pair():
     state = load_superposition(paper_problem())
     expected = np.zeros(16, dtype=complex)
-    expected[state.layout.flatten((0, 1, 0, 0))] = 2 ** -0.5
-    expected[state.layout.flatten((1, 1, 0, 1))] = 2 ** -0.5
+    expected[flatten(state.layout, (0, 1, 0, 0))] = 2 ** -0.5
+    expected[flatten(state.layout, (1, 1, 0, 1))] = 2 ** -0.5
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
@@ -129,8 +130,8 @@ def test_zero_values_need_no_copy_gates():
     assert copy_gates(problem, layout) == ()
     state = load_superposition(problem)
     expected = np.zeros(16, dtype=complex)
-    expected[layout.flatten((0, 0, 0, 0))] = 2 ** -0.5
-    expected[layout.flatten((0, 0, 0, 1))] = 2 ** -0.5
+    expected[flatten(layout, (0, 0, 0, 0))] = 2 ** -0.5
+    expected[flatten(layout, (0, 0, 0, 1))] = 2 ** -0.5
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
@@ -142,7 +143,7 @@ def test_loading_matches_analytic_superposition(inst):
     layout = state.layout
     expected = np.zeros(layout.total_dimension, dtype=complex)
     for j, v in enumerate(a):
-        expected[layout.flatten(value_bits(v, n) + (j, 0))] = len(a) ** -0.5
+        expected[flatten(layout, value_bits(v, n) + (j, 0))] = len(a) ** -0.5
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
@@ -153,8 +154,8 @@ def test_full_mode_loading_keeps_wires_fixed():
     b_bits, a0_bits, a1_bits = (1, 0, 1), (0, 1, 0), (1, 1, 0)
     branch0 = b_bits + a0_bits + a1_bits + a0_bits + (0,)
     branch1 = b_bits + a0_bits + a1_bits + a1_bits + (1,)
-    assert state.amplitudes[layout.flatten(branch0)] == pytest.approx(2 ** -0.5, abs=1e-12)
-    assert state.amplitudes[layout.flatten(branch1)] == pytest.approx(2 ** -0.5, abs=1e-12)
+    assert state.amplitudes[flatten(layout, branch0)] == pytest.approx(2 ** -0.5, abs=1e-12)
+    assert state.amplitudes[flatten(layout, branch1)] == pytest.approx(2 ** -0.5, abs=1e-12)
     assert np.count_nonzero(state.amplitudes) == 2
 
 
@@ -310,6 +311,15 @@ def test_capacity_errors_fire_before_allocation():
         SearchProblem(8, tuple(range(8)), 1, Mode.FULL)
     with pytest.raises(CapacityError):
         SearchProblem(3, (2, 6), 5, Mode.GENERAL, amplitude_cap=8)
+
+
+def test_the_cap_bounds_the_superposition_gate():
+    # n = 1, m = 6: the layout holds 2 * 6 * 2 = 24 amplitudes, but the
+    # 6-level Fourier gate is a dense 6 x 6 matrix of 36 entries
+    a = (0, 1) * 3
+    assert SearchProblem(1, a, 0, amplitude_cap=36).state_size() == 24
+    with pytest.raises(CapacityError, match="36 matrix entries, cap is 35"):
+        SearchProblem(1, a, 0, amplitude_cap=35)
 
 
 @given(instances(max_bits=8, max_m=8), st.sampled_from(list(Mode)))
@@ -582,7 +592,7 @@ def test_staged_and_whole_runs_are_bit_equal(mode, data):
     problem = SearchProblem(n, a, b, mode)
     staged = apply_comparison_stage(load_superposition(problem), problem)
     whole = run(problem)
-    assert np.array_equal(staged.indices, whole.indices)
+    assert np.array_equal(flat_indices(staged), flat_indices(whole))
     assert np.array_equal(staged.values, whole.values)
 
 

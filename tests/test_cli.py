@@ -202,6 +202,19 @@ def test_huge_bit_width_exits_three_without_allocating(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_a_superposition_gate_past_the_cap_exits_three_at_once(capsys):
+    # 8,193 one-bit values fill 32,772 amplitudes, but the 8,193-level Fourier
+    # gate would be a dense matrix of 8,193^2 > 2^26 entries
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "search", "--bits", "1", "--target", "0", "--array", ",".join(["1"] * 8193),
+    )
+    assert code == 3
+    assert out == ""
+    assert "67125249 matrix entries" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_shots_beyond_int64_exit_one_at_once(capsys):
     started = time.perf_counter()
     code, _, err = run_cli(

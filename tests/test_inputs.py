@@ -88,6 +88,10 @@ MALFORMED = {
         init_basis_state(_qubits(), (0, 0)), (1,), 0, np.eye(2)),
     "apply-target": lambda: apply_controlled(
         init_basis_state(_qubits(), (0, 0)), (), 1.0, np.eye(2)),
+    "basis-digits-not-a-sequence": lambda: init_basis_state(_qubits(), 5),
+    "apply-controls-not-a-sequence": lambda: apply_controlled(
+        init_basis_state(_qubits(), (0, 0)), 5, 0, pauli_x(2).matrix),
+    "problem-array-not-a-sequence": lambda: SearchProblem(3, 5, 2),
     "problem-n": lambda: SearchProblem(3.0, (1, 2), 3),
     "problem-b": lambda: SearchProblem(3, (1, 2), 2.5),
     "problem-mode": lambda: SearchProblem(3, (1, 2), 3, "bogus"),
@@ -95,6 +99,11 @@ MALFORMED = {
     "closed-form-paper": lambda: closed_form_paper((1, 2), 3, 3.0),
     "closed-form-general": lambda: closed_form_generalized((1, 2.5), 3, 3),
     "scan": lambda: classical_nearest((1, 2), 1.5),
+    "scan-array-not-a-sequence": lambda: classical_nearest(5, 2),
+    "distribution-probability": lambda: IndexDistribution(("a",)),
+    "distribution-not-a-sequence": lambda: IndexDistribution(5),
+    "distribution-postselect-string": lambda: IndexDistribution((0.5, 0.5), "x"),
+    "distribution-postselect-none": lambda: IndexDistribution((1.0,), None),
     "sample-shots": lambda: sample(IndexDistribution((0.5, 0.5)), 10.0),
     "sample-seed": lambda: sample(IndexDistribution((0.5, 0.5)), 10, seed=1.5),
     "sweep-seed": lambda: agreement_sweep(1, 1, 1, seed=1.5),

@@ -1,7 +1,8 @@
-"""The support-sparse kernel against an independent dense whole-block
-reference, on random circuits, random dense states and the built search
-circuits of every mode; its gate paths and tables, its running norm check,
-its stored support and its memory."""
+"""The support-sparse kernel against the independent dense whole-block
+reference of ``dense.py``, on random circuits, random dense states and the
+built search circuits of every mode; its gate paths and tables, its running
+norm check, its stored support and its memory, and that no search reads the
+dense view."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 
 from conftest import instances, make_layout, random_state, random_unitary
+from dense import flat_indices, flatten, from_amplitudes, reference_apply, reference_run
 from qnearest import (
     Circuit,
     CircuitGate,
@@ -29,39 +31,20 @@ from qnearest import (
     build_circuit,
     comparison_gates,
     copy_gates,
+    decide,
     execute_circuit,
     fourier,
     hadamard,
+    index_distribution,
     init_basis_state,
     load_superposition,
     pauli_x,
     run,
     superposition_gates,
 )
+from qnearest.cli import SearchRequest, main, run_search
 from qnearest.errors import CapacityError, NormDriftError
 from qnearest.state import _fibres, _unfibred, apply_gates, squared_norm
-
-
-def reference_apply(amps, dims, controls, target, matrix):
-    """Independent whole-block kernel: integer-index the controls away, move
-    the target axis last and multiply."""
-    out = amps.copy().reshape(dims)
-    selector = [slice(None)] * len(dims)
-    for site, digit in controls:
-        selector[site] = digit
-    block = out[tuple(selector)]
-    axis = target - sum(1 for site, _ in controls if site < target)
-    moved = np.moveaxis(block, axis, -1)
-    moved[...] = moved @ matrix.T
-    return out.reshape(-1)
-
-
-def _reference_run(amps, dims, gates):
-    return reduce(
-        lambda out, cg: reference_apply(out, dims, cg.controls, cg.target, cg.gate.matrix),
-        gates,
-        amps,
-    )
 
 
 def _phased_shift(rng, d):
@@ -214,10 +197,10 @@ def test_in_place_loop_matches_the_gate_by_gate_fold(circuit):
     loop = execute_circuit(circuit)
     fold = _fold(init_basis_state(circuit.layout, circuit.initial_digits), circuit.gates)
     start = init_basis_state(circuit.layout, circuit.initial_digits).amplitudes
-    reference = _reference_run(start, circuit.layout.dims, circuit.gates)
+    reference = reference_run(start, circuit.layout.dims, circuit.gates)
     assert np.max(np.abs(loop.amplitudes - fold.amplitudes)) <= 1e-12
     assert np.max(np.abs(loop.amplitudes - reference)) <= 1e-12
-    assert loop.indices.size == np.count_nonzero(loop.amplitudes)
+    assert flat_indices(loop).size == np.count_nonzero(loop.amplitudes)
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=4).flatmap(
@@ -228,8 +211,8 @@ def test_apply_controlled_from_dense_states_matches_the_reference(case):
     dims, gates, seed = case
     layout = make_layout(*dims)
     amps = random_state(np.random.default_rng(seed), layout.total_dimension)
-    out = _fold(StateVector.from_amplitudes(layout, amps), gates)
-    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
+    out = _fold(from_amplitudes(layout, amps), gates)
+    assert np.max(np.abs(out.amplitudes - reference_run(amps, dims, gates))) <= 1e-12
 
 
 @given(data=st.data())
@@ -242,10 +225,10 @@ def test_fibre_runs_match_the_reference_whatever_their_controls_select(data):
     gates = _fibre_gates(data.draw, rng, dims, spectator=len(dims) - 1)
     amps = np.zeros(layout.total_dimension, dtype=np.complex128)
     amps[::2] = random_state(rng, layout.total_dimension // 2)
-    state = StateVector.from_amplitudes(layout, amps)
+    state = from_amplitudes(layout, amps)
     out = apply_gates(state, gates, squared_norm(state.values))
-    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-12
-    assert out.indices.size == np.count_nonzero(out.amplitudes)
+    assert np.max(np.abs(out.amplitudes - reference_run(amps, dims, gates))) <= 1e-12
+    assert flat_indices(out).size == np.count_nonzero(out.amplitudes)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -258,7 +241,7 @@ def test_built_circuits_match_the_reference(mode, data):
     problem = SearchProblem(n, a, b, mode)
     circuit = build_circuit(problem)
     start = init_basis_state(circuit.layout, circuit.initial_digits).amplitudes
-    reference = _reference_run(start, circuit.layout.dims, circuit.gates)
+    reference = reference_run(start, circuit.layout.dims, circuit.gates)
     assert np.max(np.abs(run(problem).amplitudes - reference)) <= 1e-12
 
 
@@ -272,9 +255,9 @@ def test_a_run_stores_at_most_two_amplitudes_per_index_level(mode, data):
     n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
     problem = SearchProblem(n, a, b, mode)
     state = run(problem)
-    assert state.indices.size == state.values.size <= 2 * max(2, problem.m)
+    assert flat_indices(state).size == state.values.size <= 2 * max(2, problem.m)
     assert np.all(state.values != 0)
-    assert np.unique(state.indices).size == state.indices.size
+    assert np.unique(flat_indices(state)).size == flat_indices(state).size
 
 
 def test_permutation_gates_move_indices_and_scale_amplitudes():
@@ -288,10 +271,10 @@ def test_permutation_gates_move_indices_and_scale_amplitudes():
         CircuitGate(shift, ((0, 1),), 1),
     ))
     state = execute_circuit(circuit)
-    got = dict(zip(state.indices.tolist(), state.values.tolist()))
+    got = dict(zip(flat_indices(state).tolist(), state.values.tolist()))
     r = 2 ** -0.5
-    assert got == pytest.approx({layout.flatten((0, 2)): r,
-                                 layout.flatten((1, 0)): r * phases[2]}, abs=1e-15)
+    assert got == pytest.approx({flatten(layout, (0, 2)): r,
+                                 flatten(layout, (1, 0)): r * phases[2]}, abs=1e-15)
 
 
 def test_a_run_of_permutations_with_shared_controls_matches_the_reference():
@@ -303,21 +286,19 @@ def test_a_run_of_permutations_with_shared_controls_matches_the_reference():
     run_gates = tuple(CircuitGate(flip, ((0, 1),), t) for t in (1, 2, 3, 2))
     circuit = Circuit(layout, (0, 0, 0, 0), (spread,) + run_gates)
     start = init_basis_state(layout, (0, 0, 0, 0)).amplitudes
-    reference = _reference_run(start, layout.dims, circuit.gates)
+    reference = reference_run(start, layout.dims, circuit.gates)
     assert np.max(np.abs(execute_circuit(circuit).amplitudes - reference)) <= 1e-15
 
 
 def _digit_flips(state, gates):
-    # exact reference for X gates: flip each stored index's target digit
+    # exact reference for X gates: flip each stored entry's target digit
     # wherever its control digits match, one gate at a time in Python ints
-    layout = state.layout
     out = []
-    for index in state.indices.tolist():
-        digits = list(layout.unflatten(index))
+    for digits in state.digits.T.tolist():
         for cg in gates:
             if all(digits[s] == d for s, d in cg.controls):
                 digits[cg.target] ^= 1
-        out.append(layout.flatten(digits))
+        out.append(flatten(state.layout, digits))
     return out
 
 
@@ -339,9 +320,9 @@ def test_compiled_copy_stage_moves_exactly_as_the_gate_by_gate_fold(mode, data):
     gates = copy_gates(problem, layout)
     assert Circuit(layout, digits, (table,)).gates == gates
     fold = _fold(start, gates)
-    assert np.array_equal(fused.indices, fold.indices)
+    assert np.array_equal(flat_indices(fused), flat_indices(fold))
     assert np.array_equal(fused.values, fold.values)
-    assert fused.indices.tolist() == _digit_flips(start, gates)
+    assert flat_indices(fused).tolist() == _digit_flips(start, gates)
 
 
 @given(data=st.data())
@@ -359,9 +340,9 @@ def test_a_flip_table_moves_a_dense_state_as_its_gates_do(data):
     gates = Circuit(layout, (0,) * len(dims), (flip,)).gates
     amps = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
                         layout.total_dimension)
-    out = apply_gates(StateVector.from_amplitudes(layout, amps), [flip], 1.0)
+    out = apply_gates(from_amplitudes(layout, amps), [flip], 1.0)
     assert len(gates) == np.count_nonzero(parity)
-    assert np.array_equal(out.amplitudes, _reference_run(amps, dims, gates))
+    assert np.array_equal(out.amplitudes, reference_run(amps, dims, gates))
 
 
 @given(data=st.data())
@@ -379,11 +360,11 @@ def test_a_rotation_table_turns_a_dense_state_as_its_gates_do(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     amps = np.zeros(layout.total_dimension, dtype=np.complex128)
     amps[::2] = random_state(rng, layout.total_dimension // 2)
-    state = StateVector.from_amplitudes(layout, amps)
+    state = from_amplitudes(layout, amps)
     out = apply_gates(state, [table], squared_norm(state.values))
     assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
-    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-14
-    assert out.indices.size == np.count_nonzero(out.amplitudes)
+    assert np.max(np.abs(out.amplitudes - reference_run(amps, dims, gates))) <= 1e-14
+    assert flat_indices(out).size == np.count_nonzero(out.amplitudes)
 
 
 @pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
@@ -412,7 +393,7 @@ def test_a_rotation_table_checks_the_running_norm():
     state = init_basis_state(layout, (1, 0))
     turns = MultiplexedRotation(1, ((0, 1),), [0.7])
     out = apply_gates(state, [turns], 1.0)
-    assert out.indices.tolist() == [layout.flatten((1, 0)), layout.flatten((1, 1))]
+    assert flat_indices(out).tolist() == [flatten(layout, (1, 0)), flatten(layout, (1, 1))]
     assert out.values == pytest.approx([math.cos(0.35), -1j * math.sin(0.35)], abs=1e-16)
     idle = MultiplexedRotation(1, ((0, 0),), [0.7])
     assert np.array_equal(apply_gates(state, [idle], 1.0).values, state.values)
@@ -482,8 +463,8 @@ def test_a_rotation_table_turns_a_sparse_support_as_its_gates_do(data):
     state = StateVector(layout, np.array(np.unravel_index(indices, dims)), values)
     out = apply_gates(state, [table], squared_norm(values))
     assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
-    assert np.max(np.abs(out.amplitudes - _reference_run(amps, dims, gates))) <= 1e-14
-    assert out.indices.size == np.count_nonzero(out.amplitudes)
+    assert np.max(np.abs(out.amplitudes - reference_run(amps, dims, gates))) <= 1e-14
+    assert flat_indices(out).size == np.count_nonzero(out.amplitudes)
 
 
 def test_an_uncontrolled_gate_on_a_basis_state_writes_one_matrix_column():
@@ -498,14 +479,14 @@ def test_an_uncontrolled_gate_on_a_basis_state_writes_one_matrix_column():
         state = execute_circuit(Circuit(layout, (1, digit, 0), (CircuitGate(gate, (), 1),)))
         column = np.zeros((d, 1), dtype=np.complex128)
         column[digit] = 1
-        assert state.indices.tolist() == [layout.flatten((1, k, 0)) for k in range(d)]
+        assert flat_indices(state).tolist() == [flatten(layout, (1, k, 0)) for k in range(d)]
         assert np.array_equal(state.values, (gate.matrix @ column)[:, 0])
     # a one-entry support need not hold 1: the column is scaled by its value
     layout = make_layout(2, 5)
     phase = np.exp(0.7j)
     amps = np.zeros(layout.total_dimension, dtype=np.complex128)
-    amps[layout.flatten((1, 3))] = phase
-    out = apply_gates(StateVector.from_amplitudes(layout, amps), [CircuitGate(gate, (), 1)], 1.0)
+    amps[flatten(layout, (1, 3))] = phase
+    out = apply_gates(from_amplitudes(layout, amps), [CircuitGate(gate, (), 1)], 1.0)
     assert np.max(np.abs(out.values - phase * gate.matrix[:, 3])) <= 1e-15
 
 
@@ -514,9 +495,9 @@ def test_exact_zeros_are_dropped_after_a_gate():
     layout = make_layout(2, 3)
     h = CircuitGate(hadamard(), (), 0)
     state = execute_circuit(Circuit(layout, (0, 1), (h,)))
-    assert state.indices.size == 2
+    assert flat_indices(state).size == 2
     state = execute_circuit(Circuit(layout, (0, 1), (h, h)))
-    assert state.indices.tolist() == [layout.flatten((0, 1))]
+    assert flat_indices(state).tolist() == [flatten(layout, (0, 1))]
 
 
 @pytest.mark.parametrize("dims, target", [((2, 3, 4), 0), ((3, 2), 1), ((4, 5, 2), 2)])
@@ -532,7 +513,7 @@ def test_gate_controlled_on_every_other_site_updates_one_fibre(dims, target):
     circuit = Circuit(layout, (0,) * len(dims), spread + (CircuitGate(gate, controls, target),))
     loop = execute_circuit(circuit).amplitudes
     start = init_basis_state(layout, (0,) * len(dims)).amplitudes
-    assert np.max(np.abs(loop - _reference_run(start, dims, circuit.gates))) <= 1e-12
+    assert np.max(np.abs(loop - reference_run(start, dims, circuit.gates))) <= 1e-12
     before = execute_circuit(Circuit(layout, (0,) * len(dims), spread)).amplitudes
     changed = np.flatnonzero(np.abs(loop - before) > 0)
     assert 0 < len(changed) <= dims[target]
@@ -619,7 +600,7 @@ def test_a_flip_table_checks_the_running_norm():
     layout = make_layout(3, 2)
     flip = MultiplexedFlip(0, np.array([[0, 1], [0, 0], [0, 1]]))
     state = init_basis_state(layout, (2, 0))
-    assert apply_gates(state, [flip], 1.0).indices.tolist() == [layout.flatten((2, 1))]
+    assert flat_indices(apply_gates(state, [flip], 1.0)).tolist() == [flatten(layout, (2, 1))]
     with pytest.raises(NormDriftError):
         apply_gates(state, [flip], 1 + 1e-6)
 
@@ -632,7 +613,7 @@ def test_nan_amplitudes_fail_the_norm_check():
         with pytest.raises(NormDriftError):
             execute_circuit(Circuit(make_layout(2), (0,), (CircuitGate(nan_gate, (), 0),)))
     with pytest.raises(NormDriftError):
-        StateVector.from_amplitudes(make_layout(2), [np.nan, 0.0])
+        from_amplitudes(make_layout(2), [np.nan, 0.0])
 
 
 def test_run_peak_memory_is_bounded_by_the_support():
@@ -646,8 +627,44 @@ def test_run_peak_memory_is_bounded_by_the_support():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert state.indices.size <= 8
+    assert flat_indices(state).size <= 8
     assert peak <= 256 * 1024
+
+
+def test_a_general_search_on_a_2_to_the_62_amplitude_layout_runs_on_its_support():
+    # copy register of 60 qubits, index and score qubits: 2^62 amplitudes,
+    # of which a run stores at most four; the decision is not asserted here
+    problem = SearchProblem(60, ((1 << 60) - 5, 12345678901234567), (1 << 59) + 3,
+                            Mode.GENERAL, amplitude_cap=1 << 62)
+    assert problem.layout.total_dimension == 1 << 62
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decide(index_distribution(run(problem), problem))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_a_search_never_reads_the_dense_view(monkeypatch):
+    # every search path, the example and a sweep run with the one dense view
+    # turned into an error
+    def refuse(state):
+        raise AssertionError("a search read StateVector.amplitudes")
+
+    monkeypatch.setattr(StateVector, "amplitudes", property(refuse))
+    with pytest.raises(AssertionError):
+        run(SearchProblem(3, (2, 6), 5, Mode.PAPER)).amplitudes
+    for request in (
+        SearchRequest(3, 5, (2, 6), Mode.PAPER),
+        SearchRequest(3, 5, (2, 6, 5, 0), Mode.GENERAL),
+        SearchRequest(2, 2, (1, 3, 0), Mode.FULL),
+        SearchRequest(6, 9, tuple(range(0, 64, 4)), Mode.GENERAL, shots=10_000, seed=3),
+    ):
+        run_search(request)
+    assert main(["example"]) == 0
+    assert main(["sweep", "--max-bits", "2", "--max-m", "3", "--count", "2"]) == 0
 
 
 def test_layouts_beyond_int64_flat_indices_raise_capacity_error():
@@ -668,5 +685,7 @@ def test_a_2_to_the_62_amplitude_layout_runs_on_its_support():
         CircuitGate(pauli_x(2), ((0, 1),), 30),
     ))
     state = execute_circuit(circuit)
-    assert sorted(state.indices.tolist()) == [0, (1 << 61) + (1 << 31) + 1]
+    flipped = tuple(int(site in (0, 30, 61)) for site in range(62))
+    assert sorted(map(tuple, state.digits.T.tolist())) == [(0,) * 62, flipped]
+    assert sorted(flat_indices(state).tolist()) == [0, (1 << 61) + (1 << 31) + 1]
     assert np.allclose(state.values, 2 ** -0.5, atol=1e-15)

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import make_layout, random_state, random_unitary
+from dense import flat_indices, flatten, from_amplitudes, inner_product, unflatten
 from qnearest import (
-    StateVector,
     apply_controlled,
     comparison_gate,
     hadamard,
     init_basis_state,
-    inner_product,
     marginal_probabilities,
     pauli_x,
     rx,
@@ -57,18 +56,12 @@ def test_basis_state_rejects_non_integer_digits(digits):
     with pytest.raises(InvalidInputError, match="digit .* is not an integer"):
         init_basis_state(layout, digits)
     with pytest.raises(InvalidInputError, match="digit .* is not an integer"):
-        layout.flatten(digits)
+        flatten(layout, digits)
 
 
 def test_basis_state_accepts_numpy_integer_digits():
     state = init_basis_state(make_layout(2, 3), (np.int64(1), np.uint8(2)))
-    assert state.indices.tolist() == [5]
-
-
-@pytest.mark.parametrize("index", [0.5, 2.0, "1", None])
-def test_unflatten_rejects_a_non_integer_index(index):
-    with pytest.raises(InvalidInputError, match="flat index .* is not an integer"):
-        make_layout(2, 3).unflatten(index)
+    assert flat_indices(state).tolist() == [5]
 
 
 def test_site_dimension_must_be_at_least_two():
@@ -81,7 +74,7 @@ def test_flatten_unflatten_roundtrip(dims, pick):
     layout = make_layout(*dims)
     assert layout.total_dimension == math.prod(dims)
     index = pick % layout.total_dimension
-    assert layout.flatten(layout.unflatten(index)) == index
+    assert flatten(layout, unflatten(layout, index)) == index
 
 
 @given(dims_lists)
@@ -113,13 +106,13 @@ def test_controlled_flip_touches_only_matching_branch():
     # (|000>|0> + |000>|1>)/sqrt(2), flip copy bit 2 where the last site is 1
     layout = make_layout(2, 2, 2, 2)
     amps = np.zeros(16, dtype=complex)
-    amps[layout.flatten((0, 0, 0, 0))] = 2 ** -0.5
-    amps[layout.flatten((0, 0, 0, 1))] = 2 ** -0.5
-    state = StateVector.from_amplitudes(layout, amps)
+    amps[flatten(layout, (0, 0, 0, 0))] = 2 ** -0.5
+    amps[flatten(layout, (0, 0, 0, 1))] = 2 ** -0.5
+    state = from_amplitudes(layout, amps)
     out = apply_controlled(state, ((3, 1),), 2, pauli_x(2).matrix)
     expected = np.zeros(16, dtype=complex)
-    expected[layout.flatten((0, 0, 0, 0))] = 2 ** -0.5
-    expected[layout.flatten((0, 0, 1, 1))] = 2 ** -0.5
+    expected[flatten(layout, (0, 0, 0, 0))] = 2 ** -0.5
+    expected[flatten(layout, (0, 0, 1, 1))] = 2 ** -0.5
     assert np.allclose(out.amplitudes, expected, atol=1e-15)
 
 
@@ -128,7 +121,7 @@ def _operator_of(layout, apply_fn):
     for i in range(layout.total_dimension):
         amps = np.zeros(layout.total_dimension, dtype=complex)
         amps[i] = 1.0
-        cols.append(apply_fn(StateVector.from_amplitudes(layout, amps)).amplitudes)
+        cols.append(apply_fn(from_amplitudes(layout, amps)).amplitudes)
     return np.array(cols).T
 
 
@@ -161,16 +154,16 @@ def test_kernel_matches_a_dense_reconstruction(dims, seed):
 
     dense = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
     for col in range(layout.total_dimension):
-        digits = list(layout.unflatten(col))
+        digits = list(unflatten(layout, col))
         if all(digits[s] == v for s, v in controls):
             for row_digit in range(dims[target]):
                 image = digits.copy()
                 image[target] = row_digit
-                dense[layout.flatten(image), col] = mat[row_digit, digits[target]]
+                dense[flatten(layout, image), col] = mat[row_digit, digits[target]]
         else:
             dense[col, col] = 1.0
 
-    state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    state = from_amplitudes(layout, random_state(rng, layout.total_dimension))
     out = apply_controlled(state, controls, target, mat)
     assert np.max(np.abs(out.amplitudes - dense @ state.amplitudes)) <= 1e-12
 
@@ -223,14 +216,14 @@ def test_non_integer_sites_and_digits_are_rejected(controls, target, message):
 def test_numpy_integer_sites_and_digits_are_accepted():
     state = init_basis_state(make_layout(2, 2), (1, 0))
     out = apply_controlled(state, ((np.int64(0), np.uint8(1)),), np.int32(1), pauli_x(2).matrix)
-    assert out.indices.tolist() == [3]
+    assert flat_indices(out).tolist() == [3]
 
 
 @given(dims_lists, st.integers(0, 3), st.integers(0, 10_000))
 def test_shift_gate_increments_target_digit(dims, site_pick, digit_pick):
     layout = make_layout(*dims)
     site = site_pick % len(dims)
-    digits = list(layout.unflatten(digit_pick % layout.total_dimension))
+    digits = list(unflatten(layout, digit_pick % layout.total_dimension))
     state = init_basis_state(layout, digits)
     out = apply_controlled(state, (), site, pauli_x(dims[site]).matrix)
     digits[site] = (digits[site] + 1) % dims[site]
@@ -252,10 +245,10 @@ def test_application_is_linear(dims, seed):
     site = int(rng.integers(len(dims)))
     mat = random_unitary(rng, dims[site])
     out_combo = apply_controlled(
-        StateVector.from_amplitudes(layout, combo / norm), (), site, mat
+        from_amplitudes(layout, combo / norm), (), site, mat
     )
-    out_a = apply_controlled(StateVector.from_amplitudes(layout, a), (), site, mat)
-    out_b = apply_controlled(StateVector.from_amplitudes(layout, b), (), site, mat)
+    out_a = apply_controlled(from_amplitudes(layout, a), (), site, mat)
+    out_b = apply_controlled(from_amplitudes(layout, b), (), site, mat)
     recombined = (alpha * out_a.amplitudes + beta * out_b.amplitudes) / norm
     assert np.max(np.abs(out_combo.amplitudes - recombined)) <= 1e-12
 
@@ -264,7 +257,7 @@ def test_application_is_linear(dims, seed):
 def test_commuting_controlled_gates_commute(seed):
     rng = np.random.default_rng(seed)
     layout = make_layout(2, 3, 2, 2)
-    start = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    start = from_amplitudes(layout, random_state(rng, layout.total_dimension))
     first = ((0, int(rng.integers(2))),), 3, rx(float(rng.uniform(-3, 3))).matrix
     second = ((1, int(rng.integers(3))),), 3, rx(float(rng.uniform(-3, 3))).matrix
     one = apply_controlled(apply_controlled(start, *first), *second)
@@ -276,7 +269,7 @@ def test_commuting_controlled_gates_commute(seed):
 def test_negative_control_equals_x_sandwich(seed):
     rng = np.random.default_rng(seed)
     layout = make_layout(2, 2)
-    start = StateVector.from_amplitudes(layout, random_state(rng, 4))
+    start = from_amplitudes(layout, random_state(rng, 4))
     mat = random_unitary(rng, 2)
     direct = apply_controlled(start, ((0, 0),), 1, mat)
     flip = pauli_x(2).matrix
@@ -291,7 +284,7 @@ def test_negative_control_equals_x_sandwich(seed):
 def test_norm_survives_random_gate_sequences(seed):
     rng = np.random.default_rng(seed)
     layout = make_layout(2, 2, 3, 2)
-    state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    state = from_amplitudes(layout, random_state(rng, layout.total_dimension))
     for _ in range(50):
         target = int(rng.integers(4))
         free = [s for s in range(4) if s != target]
@@ -306,7 +299,7 @@ def test_norm_survives_random_gate_sequences(seed):
 def test_unnormalized_amplitudes_are_rejected():
     layout = make_layout(2)
     with pytest.raises(NormDriftError):
-        StateVector.from_amplitudes(layout, [1.0, 1.0])
+        from_amplitudes(layout, [1.0, 1.0])
 
 
 def test_amplitudes_are_frozen():
@@ -315,17 +308,18 @@ def test_amplitudes_are_frozen():
         state.amplitudes[0] = 0.0
 
 
-def test_digits_and_indices_are_read_only_and_indices_are_built_once():
+def test_digits_values_and_amplitudes_are_read_only_and_amplitudes_are_built_once():
     layout = make_layout(3, 2, 5)
     rng = np.random.default_rng(11)
-    state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    state = from_amplitudes(layout, random_state(rng, layout.total_dimension))
     state = apply_controlled(state, ((0, 2),), 2, random_unitary(rng, 5))
     assert state.digits.dtype == np.int64 and state.digits.shape == (3, state.values.size)
     assert state.digits.flags.c_contiguous
-    assert state.indices is state.indices
-    assert state.indices.dtype == np.int64
-    assert state.indices.tolist() == [layout.flatten(column) for column in state.digits.T.tolist()]
-    for array in (state.digits, state.indices, state.values):
+    assert state.amplitudes is state.amplitudes
+    assert flat_indices(state).dtype == np.int64
+    assert flat_indices(state).tolist() == [flatten(layout, column)
+                                            for column in state.digits.T.tolist()]
+    for array in (state.digits, state.values, state.amplitudes):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -341,10 +335,10 @@ def test_from_amplitudes_round_trips_a_dense_vector(dims, seed, sparsity):
     if not amps.any():
         amps[0] = 1
     amps /= np.linalg.norm(amps)
-    state = StateVector.from_amplitudes(layout, amps)
+    state = from_amplitudes(layout, amps)
     assert np.array_equal(state.amplitudes, amps)
-    assert state.indices.tolist() == np.flatnonzero(amps).tolist()
-    assert state.digits.T.tolist() == [list(layout.unflatten(i)) for i in np.flatnonzero(amps)]
+    assert flat_indices(state).tolist() == np.flatnonzero(amps).tolist()
+    assert state.digits.T.tolist() == [list(unflatten(layout, i)) for i in np.flatnonzero(amps)]
 
 
 def test_marginal_of_basis_state():
@@ -357,9 +351,9 @@ def test_marginal_of_entangled_pair():
     # (|010>|0> + |110>|1>)/sqrt(2): the last site is an even coin
     layout = make_layout(2, 2, 2, 2)
     amps = np.zeros(16, dtype=complex)
-    amps[layout.flatten((0, 1, 0, 0))] = 2 ** -0.5
-    amps[layout.flatten((1, 1, 0, 1))] = 2 ** -0.5
-    state = StateVector.from_amplitudes(layout, amps)
+    amps[flatten(layout, (0, 1, 0, 0))] = 2 ** -0.5
+    amps[flatten(layout, (1, 1, 0, 1))] = 2 ** -0.5
+    state = from_amplitudes(layout, amps)
     marg = marginal_probabilities(state, (3,))
     assert marg[0] == pytest.approx(0.5, abs=1e-12)
     assert marg[1] == pytest.approx(0.5, abs=1e-12)
@@ -369,7 +363,7 @@ def test_marginal_of_entangled_pair():
 def test_marginals_sum_to_one(dims, seed):
     rng = np.random.default_rng(seed)
     layout = make_layout(*dims)
-    state = StateVector.from_amplitudes(layout, random_state(rng, layout.total_dimension))
+    state = from_amplitudes(layout, random_state(rng, layout.total_dimension))
     subset = tuple(range(0, len(dims), 2))
     total = marginal_probabilities(state, subset).sum()
     assert abs(total - 1.0) <= 1e-10
@@ -406,7 +400,7 @@ def test_marginal_rejects_a_non_integer_site(site):
 def test_inner_product_of_state_with_itself():
     rng = np.random.default_rng(11)
     layout = make_layout(2, 3)
-    state = StateVector.from_amplitudes(layout, random_state(rng, 6))
+    state = from_amplitudes(layout, random_state(rng, 6))
     assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -422,7 +416,7 @@ def test_inner_product_examples():
 def test_inner_product_is_conjugate_linear_in_first_argument():
     layout = make_layout(2)
     zero = init_basis_state(layout, (0,))
-    phased = StateVector.from_amplitudes(layout, [1j, 0.0])
+    phased = from_amplitudes(layout, [1j, 0.0])
     assert inner_product(phased, zero) == pytest.approx(-1j)
     assert inner_product(zero, phased) == pytest.approx(1j)
 
