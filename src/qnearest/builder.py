@@ -20,6 +20,14 @@ Three execution modes share one gate vocabulary:
     reference wires. Exists to validate that compiling the classical inputs
     away, as the other two modes do, is observationally equivalent.
 
+Each stage is built by one function for every mode, from one set of rows:
+:func:`superposition_gates`, :func:`_copy_stage` and
+:func:`_comparison_stage`. Compiled modes get one table per stage (a flip
+table for the copy, a rotation table for the comparison); full mode gets
+the same rows as gates, each also controlled on its wire. The gate lists
+:func:`copy_gates` and :func:`comparison_gates` are a stage's steps
+expanded gate by gate, as :attr:`Circuit.gates` expands them.
+
 In every mode the net rotation a branch holding value a accumulates against
 reference b is pi * (b - a) / 2^n: bit k (most significant first) carries
 weight pi / 2^(k+1), applied with positive sign where b's bit is high and
@@ -37,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, _integer, _integers
+from .errors import CapacityError, InvalidInputError, _integer, _integers, _sequence
 from .gates import fourier, hadamard, pauli_x, rx
 from .state import (
     CircuitGate,
@@ -125,10 +133,15 @@ class SearchProblem:
     @cached_property
     def bit_table(self) -> np.ndarray:
         """Read-only ``(m, n)`` 0/1 uint8 array of each element's bits, most
-        significant first, built on first use."""
-        n = self.n
-        values = np.asarray(self.a, dtype=np.int64 if n < 64 else object)
-        bits = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        significant first, built on first use together with b's bits."""
+        return self._bits[1:]
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        # row 0 holds b's bits and row j + 1 a_j's, from one extraction that
+        # stays exact past int64 (n >= 64) through an object array
+        values = np.asarray((self.b, *self.a), dtype=np.int64 if self.n < 64 else object)
+        bits = ((values[:, None] >> np.arange(self.n - 1, -1, -1)) & 1).astype(np.uint8)
         bits.flags.writeable = False
         return bits
 
@@ -224,7 +237,8 @@ class Circuit:
     gate (``step.expanded``), so the circuit reads no step's internals.
     ``initial_digits`` is checked against the layout and stored as ints
     when the circuit is built, so :func:`execute_circuit` starts from it
-    without checking it again.
+    without checking it again. ``steps`` is stored as a tuple; anything
+    but those three step formats raises :class:`InvalidInputError`.
     """
 
     layout: RegisterLayout
@@ -233,7 +247,10 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_digits", self.layout._checked(self.initial_digits))
+        object.__setattr__(self, "steps", _sequence(self.steps, "circuit step"))
         for step in self.steps:
+            if not isinstance(step, (CircuitGate, MultiplexedFlip, MultiplexedRotation)):
+                raise InvalidInputError(f"unknown circuit step {step!r}")
             # the kernel trusts its sites, so every step is checked once here
             step.check(self.layout.dims)
 
@@ -241,7 +258,7 @@ class Circuit:
     def gates(self) -> tuple[CircuitGate, ...]:
         """The steps one gate at a time, each expanded by its own
         ``expanded()``, built on first read."""
-        return tuple(gate for step in self.steps for gate in step.expanded())
+        return _expanded(self.steps)
 
     def dump(self) -> str:
         """Line-oriented text form, stable across runs.
@@ -262,14 +279,20 @@ class Circuit:
         return "\n".join(lines) + "\n"
 
 
+def _expanded(steps: Sequence) -> tuple[CircuitGate, ...]:
+    """Circuit steps one gate at a time, each listed by its own ``expanded()``."""
+    return tuple(gate for step in steps for gate in step.expanded())
+
+
 def build_layout(problem: SearchProblem) -> RegisterLayout:
     """Canonical site order for a problem, built afresh.
 
     Full mode: reference bits, then each element's bits, then the copy
     buffer, index qudit and (for m != 2) the score qubit. Compiled modes
     drop the reference and array wires. Bit sites are most significant
-    first, matching :func:`value_bits`. A search reads the equal layout
-    its shape shares (:attr:`SearchProblem.layout`), not this one.
+    first, matching :attr:`SearchProblem.bit_table`. A search reads the
+    equal layout its shape shares (:attr:`SearchProblem.layout`), not this
+    one.
     """
     return _layout(problem.mode, problem.n, problem.m)
 
@@ -292,16 +315,13 @@ _shared_layout = lru_cache(maxsize=LAYOUT_MEMO_SIZE)(_layout)
 
 
 def _initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
-    digits = [0] * len(layout.sites)
-    if problem.mode is Mode.FULL:
-        refs = layout.sites_of(Role.REFERENCE)
-        arrs = layout.sites_of(Role.ARRAY)
-        for k, bit in enumerate(value_bits(problem.b, problem.n)):
-            digits[refs[k]] = bit
-        for j, v in enumerate(problem.a):
-            for k, bit in enumerate(value_bits(v, problem.n)):
-                digits[arrs[j * problem.n + k]] = bit
-    return tuple(digits)
+    if problem.mode is not Mode.FULL:
+        return (0,) * len(layout.sites)
+    # the wires hold b's bits, then each element's, as the rows of ``_bits`` do
+    wires = layout.sites_of(Role.REFERENCE) + layout.sites_of(Role.ARRAY)
+    digits = np.zeros(len(layout.sites), dtype=np.int64)
+    digits[list(wires)] = problem._bits.ravel()
+    return tuple(digits.tolist())
 
 
 def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
@@ -314,98 +334,75 @@ def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple
 
 
 def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
-    """Controlled X gates copying element j into the buffer on the index-j branch.
+    """The copy stage gate by gate: :func:`_copy_stage`'s steps, expanded as
+    :attr:`Circuit.gates` expands them.
 
-    One gate per set bit, element by element, most significant bit first;
-    in full mode the gate is also controlled on the matching array wire,
-    Toffoli-style. Compiled circuits run the same flips as one table (see
-    :func:`build_circuit`), so a search calls this in full mode only.
+    One X gate per set bit, element by element, most significant bit
+    first, copying element j into the buffer on the index-j branch (in full
+    mode also controlled on the array wire, Toffoli-style). A search runs
+    the stage's steps and does not call this.
     """
-    n = problem.n
-    index = layout.single(Role.INDEX)
-    copies = layout.sites_of(Role.COPY)
-    arrs = layout.sites_of(Role.ARRAY)
-    flip = pauli_x(2)
-    out = []
-    for j, k in zip(*(axis.tolist() for axis in np.nonzero(problem.bit_table))):
-        controls = ((index, j), (arrs[j * n + k], 1)) if arrs else ((index, j),)
-        out.append(CircuitGate(flip, controls, copies[k]))
-    return tuple(out)
+    return _expanded(_copy_stage(problem, layout))
 
 
 def _copy_stage(
     problem: SearchProblem, layout: RegisterLayout
 ) -> tuple[CircuitGate | MultiplexedFlip, ...]:
-    """The copy stage as circuit steps.
+    """The copy stage as circuit steps, in every mode; its one builder.
 
-    Full mode: :func:`copy_gates`, gate by gate. Compiled modes: one
-    :class:`~qnearest.state.MultiplexedFlip` on the index qudit whose row j
-    holds a 1 at each copy site where a_j has its bit set.
+    Its rows are the set bits of :attr:`SearchProblem.bit_table`: a 1 at
+    (j, k) flips copy bit k on the index-j branch. Compiled modes hold them
+    as one :class:`~qnearest.state.MultiplexedFlip` on the index qudit.
+    Full mode lists them as X gates, row by row, each also controlled on
+    array wire (j, k) reading 1.
     """
-    if problem.mode is Mode.FULL:
-        return copy_gates(problem, layout)
-    index = layout.single(Role.INDEX)
-    parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
-    parity[: problem.m, list(layout.sites_of(Role.COPY))] = problem.bit_table
-    return (MultiplexedFlip(index, parity),)
-
-
-def _comparison_rows(problem: SearchProblem) -> list[tuple[int, int, float]]:
-    """``(k, b's bit k, signed weight)`` for each bit k where some element differs from b.
-
-    Bits where every element matches b are skipped because a rotation on
-    them could never fire.
-    """
-    weights = rotation_schedule(problem.n)
-    b_bits = value_bits(problem.b, problem.n)
-    # bit k differs where some element's bit k is not b's
-    differs = (problem.bit_table != b_bits).any(axis=0).tolist()
-    return [(k, b_k, _signed_weight(b_k, weights[k]))
-            for k, (b_k, differ) in enumerate(zip(b_bits, differs)) if differ]
-
-
-def _comparison_target(problem: SearchProblem, layout: RegisterLayout) -> int:
-    return layout.single(Role.SCORE) if uses_score(problem) else layout.single(Role.INDEX)
+    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
+    if problem.mode is not Mode.FULL:
+        parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
+        parity[: problem.m, list(copies)] = problem.bit_table
+        return (MultiplexedFlip(index, parity),)
+    n, arrs, flip = problem.n, layout.sites_of(Role.ARRAY), pauli_x(2)
+    rows = zip(*(axis.tolist() for axis in np.nonzero(problem.bit_table)))
+    return tuple(CircuitGate(flip, ((index, j), (arrs[j * n + k], 1)), copies[k]) for j, k in rows)
 
 
 def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
-    """One controlled rotation per bit position where some element differs from b.
+    """The comparison stage gate by gate: :func:`_comparison_stage`'s steps,
+    expanded as :attr:`Circuit.gates` expands them.
 
-    The control requires the copy bit to differ from b's bit; in full mode
-    the reference wire is a further control, so the rotation stays
-    conditioned on the loaded reference value rather than baked in.
-    Compiled circuits run the same rotations as one table (see
-    :func:`build_circuit`), so a search calls this in full mode only.
+    One controlled rotation per bit position where some element differs
+    from b (in full mode also controlled on the reference wire). A search
+    runs the stage's steps and does not call this.
     """
-    copies = layout.sites_of(Role.COPY)
-    refs = layout.sites_of(Role.REFERENCE)
-    target = _comparison_target(problem, layout)
-    out = []
-    for k, b_k, angle in _comparison_rows(problem):
-        controls = ((refs[k], b_k),) if refs else ()
-        out.append(CircuitGate(rx(angle), controls + ((copies[k], 1 - b_k),), target))
-    return tuple(out)
+    return _expanded(_comparison_stage(problem, layout))
 
 
 def _comparison_stage(
     problem: SearchProblem, layout: RegisterLayout
 ) -> tuple[CircuitGate | MultiplexedRotation, ...]:
-    """The comparison stage as circuit steps.
+    """The comparison stage as circuit steps, in every mode; its one builder.
 
-    Full mode: :func:`comparison_gates`, gate by gate. Compiled modes: one
-    :class:`~qnearest.state.MultiplexedRotation` on the score (or index)
-    qubit with one row per bit where some element differs from b, or no
-    step when none does.
+    One row per bit k where some element differs from b; a rotation on a
+    bit where every element matches b could never fire. The row turns the
+    score qubit (the index qubit when there is none) by bit k's signed
+    weight wherever copy bit k differs from b's bit. Compiled modes hold
+    the rows as one :class:`~qnearest.state.MultiplexedRotation`, or no
+    step when there is no row. Full mode lists them as ``rx`` gates, each
+    also controlled on reference wire k reading b's bit, so the rotation
+    stays conditioned on the loaded reference value rather than baked in.
     """
-    if problem.mode is Mode.FULL:
-        return comparison_gates(problem, layout)
-    rows = _comparison_rows(problem)
-    if not rows:
-        return ()
+    b_bits = problem._bits[0]
+    rows = np.flatnonzero((problem.bit_table != b_bits).any(axis=0)).tolist()
+    b_bits, weights = b_bits.tolist(), rotation_schedule(problem.n)
     copies = layout.sites_of(Role.COPY)
-    controls = tuple((copies[k], 1 - b_k) for k, b_k, _ in rows)
-    return (MultiplexedRotation(_comparison_target(problem, layout), controls,
-                                [angle for _, _, angle in rows]),)
+    target = layout.single(Role.SCORE if uses_score(problem) else Role.INDEX)
+    controls = [(copies[k], 1 - b_bits[k]) for k in rows]
+    angles = [_signed_weight(b_bits[k], weights[k]) for k in rows]
+    if problem.mode is Mode.FULL:
+        refs = layout.sites_of(Role.REFERENCE)
+        return tuple(CircuitGate(rx(angle), ((refs[k], b_bits[k]), control), target)
+                     for k, control, angle in zip(rows, controls, angles))
+    return (MultiplexedRotation(target, controls, angles),) if rows else ()
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:

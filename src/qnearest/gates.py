@@ -37,7 +37,10 @@ class Gate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension",
                            _integer(self.dimension, f"gate {self.label!r}: dimension"))
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        try:
+            mat = np.asarray(self.matrix, dtype=np.complex128)
+        except (TypeError, ValueError) as err:  # a string, or ragged rows
+            raise InvalidInputError(f"gate {self.label!r}: malformed matrix: {err}") from None
         if mat.shape != (self.dimension, self.dimension):
             raise InvalidInputError(
                 f"gate {self.label!r}: matrix shape {mat.shape} does not match "

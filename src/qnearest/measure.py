@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .builder import Mode, SearchProblem, uses_score
+from .builder import Mode, SearchProblem, _mode, uses_score
 from .errors import InvalidInputError, _integer
 from .state import Role, StateVector, marginal_probabilities
 
@@ -23,7 +24,8 @@ class IndexDistribution:
     ``postselect_probability`` is the chance the score qubit reads 0, i.e.
     the fraction of shots the conditional distribution keeps; it is 1.0 for
     modes without a score qubit. Both are stored as floats; a value that is
-    not a real number raises :class:`InvalidInputError`.
+    not a real number (a string included) raises :class:`InvalidInputError`.
+    ``mode``, unless None, is checked and stored as a :class:`Mode`.
     """
 
     probabilities: tuple[float, ...]
@@ -32,12 +34,18 @@ class IndexDistribution:
 
     def __post_init__(self) -> None:
         try:
-            probs = tuple(map(float, self.probabilities))
-            keep = float(self.postselect_probability)
-        except (TypeError, ValueError) as err:
+            given = tuple(self.probabilities)
+            probs, keep = tuple(map(float, given)), float(self.postselect_probability)
+        except (TypeError, ValueError, OverflowError) as err:
             raise InvalidInputError(f"malformed distribution: {err}") from None
+        # float() also parses strings; if it changed no probability, none was one
+        for value in (given if probs != given else ()) + (self.postselect_probability,):
+            if not isinstance(value, Real):
+                raise InvalidInputError(f"malformed distribution: {value!r} is not a real number")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "postselect_probability", keep)
+        if not isinstance(self.mode, (Mode, type(None))):
+            object.__setattr__(self, "mode", _mode(self.mode))
         if not probs:
             raise InvalidInputError("distribution must cover at least one index")
         if not all(p >= -1e-12 for p in probs):  # also true for NaN

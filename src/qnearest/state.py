@@ -121,9 +121,11 @@ class RegisterLayout:
     sites: tuple[Site, ...]
 
     def __post_init__(self) -> None:
-        sites = tuple(self.sites)
+        sites = _sequence(self.sites, "site")
         if not sites:
             raise InvalidInputError("layout needs at least one site")
+        if not all(isinstance(site, Site) for site in sites):
+            raise InvalidInputError(f"layout sites must be Site values, got {sites!r}")
         object.__setattr__(self, "sites", sites)
         dims = tuple(s.dimension for s in sites)
         strides = [1] * len(dims)
@@ -375,7 +377,10 @@ class MultiplexedFlip:
     flips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        parity = _read_only(np.array(self.parity))
+        try:
+            parity = _read_only(np.array(self.parity))
+        except (TypeError, ValueError) as err:  # ragged rows
+            raise InvalidInputError(f"multiplexed flip: malformed parity table: {err}") from None
         # a table of any other rank fails the shape check and never runs
         nonzero = parity != 0 if parity.ndim == 2 else np.zeros((0, 0), dtype=bool)
         targets = np.flatnonzero(nonzero.any(axis=0))

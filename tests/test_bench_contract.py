@@ -22,6 +22,7 @@ import random
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
@@ -91,12 +92,14 @@ def test_final_state_amplitudes_are_dense_read_only_and_match_the_support(proble
     assert np.array_equal(amps[flat_indices(state)], state.values)
 
 
-@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
-@given(instance=instances(max_bits=10, min_m=2, max_m=40))
-def test_compiled_circuits_list_one_gate_per_set_bit(mode, instance):
-    # the copy stage runs as one table, but the gate list (which the
-    # workload descriptor counts) and the dump stay gate by gate
-    n, a, b = instance
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL, Mode.FULL])
+@given(data=st.data())
+def test_compiled_circuits_list_one_gate_per_set_bit(mode, data):
+    # compiled modes run each stage as one table, full mode as gates; either
+    # way the gate list (which the workload descriptor counts) and the dump
+    # are the stages' expansion, gate by gate, as the public gate lists give it
+    max_bits, max_m = (3, 4) if mode is Mode.FULL else (10, 40)
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=2, max_m=max_m))
     problem = SearchProblem(n, a[:2] if mode is Mode.PAPER else a, b, mode)
     layout = problem.layout
     circuit = build_circuit(problem)
@@ -132,6 +135,34 @@ def test_compiled_gate_counts_and_dumps_are_pinned():
         circuit = build_circuit(problem)
         digest.update(f"{len(circuit.gates)}\n{circuit.dump()}".encode())
     assert digest.hexdigest() == DUMP_DIGEST
+
+
+# SHA-256 over 400 seeded full-mode requests of each circuit's gate count
+# and dump(), written before full mode's gates were built by the same stage
+# builders as the compiled tables: the wire-controlled gates must not move
+FULL_DUMP_DIGEST = "3282e1eb600ba78c0fbf44da252397daea25792e4de6f2f227cbae88cb8e5ef1"
+# the most elements drawn at each bit width, so every layout fits the default cap
+FULL_MAX_M = {1: 16, 2: 8, 3: 5, 4: 3}
+
+
+def _seeded_full_problems(count, seed=23):
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, FULL_MAX_M[n])
+        hi = (1 << n) - 1
+        a = tuple(rng.randint(0, hi) for _ in range(m))
+        problems.append(SearchProblem(n, a, rng.randint(0, hi), Mode.FULL))
+    return problems
+
+
+def test_full_gate_counts_and_dumps_are_pinned():
+    digest = hashlib.sha256()
+    for problem in _seeded_full_problems(400):
+        circuit = build_circuit(problem)
+        digest.update(f"{len(circuit.gates)}\n{circuit.dump()}".encode())
+    assert digest.hexdigest() == FULL_DUMP_DIGEST
 
 
 @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)

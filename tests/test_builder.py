@@ -322,6 +322,25 @@ def test_the_cap_bounds_the_superposition_gate():
         SearchProblem(1, a, 0, amplitude_cap=35)
 
 
+@pytest.mark.parametrize("mode", [Mode.GENERAL, Mode.PAPER])
+def test_a_64_bit_circuit_is_built_exactly_and_its_run_hits_the_capacity_error(mode):
+    # past int64 the bits of a and of b are taken exactly: H, 3 + 2 copy
+    # flips, and a rotation at each of bits 0..62, where 3 differs from b
+    problem = SearchProblem(64, (2**63 + 5, 3), 2**64 - 1, mode, amplitude_cap=1 << 200)
+    labels = [cg.gate.label for cg in build_circuit(problem).gates]
+    assert len(labels) == 69
+    assert sum(label.startswith("RX") for label in labels) == 63
+    with pytest.raises(CapacityError):  # any other error, OverflowError say, fails the test
+        run(problem)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_search_takes_its_bits_from_the_bit_table_not_value_bits(monkeypatch, mode):
+    expected = build_circuit(SearchProblem(3, (2, 6), 5, mode)).dump()
+    monkeypatch.setattr("qnearest.builder.value_bits", None)
+    assert build_circuit(SearchProblem(3, (2, 6), 5, mode)).dump() == expected
+
+
 @given(instances(max_bits=8, max_m=8), st.sampled_from(list(Mode)))
 def test_state_size_matches_the_layout(instance, mode):
     n, a, b = instance

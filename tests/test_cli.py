@@ -45,6 +45,20 @@ def test_search_reports_the_nearest_element(capsys):
     assert parse_floats(doc["probabilities"]) == pytest.approx(PAPER_P, abs=1e-10)
 
 
+@pytest.mark.xfail(reason="ROADMAP item 8: decide's absolute 1e-9 tie rule calls the "
+                          "1e-10 gap a tie and returns element 0")
+@pytest.mark.parametrize("mode", ["general", "paper"])
+def test_a_20_bit_search_reports_the_nearer_element(capsys, mode):
+    # element 1 is 3 from b and element 0 is 10; float64 resolves the gap
+    code, out, _ = run_cli(
+        capsys, "search", "--bits", "20", "--target", "600000", "--array", "599990,600003",
+        "--mode", mode,
+    )
+    assert code == 0
+    doc = parse_request_document(out)
+    assert (doc["argmax"], doc["is_tie"], doc["agreement"]) == ("1", "false", "true")
+
+
 def test_search_single_element(capsys):
     code, out, _ = run_cli(capsys, "search", "--bits", "3", "--target", "5", "--array", "5")
     assert code == 0

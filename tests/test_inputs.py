@@ -14,6 +14,7 @@ from qnearest import (
     Gate,
     IndexDistribution,
     Mode,
+    MultiplexedFlip,
     MultiplexedRotation,
     RegisterLayout,
     Role,
@@ -110,6 +111,19 @@ MALFORMED = {
     "sweep-count": lambda: agreement_sweep(2, 2, 1.5),
     "sweep-bound": lambda: agreement_sweep(2.0, 2, 1),
     "run-search": lambda: run_search(SearchRequest(n=3, b=5, a=(2, 6), shots=10, seed=1.5)),
+    "gate-matrix-string": lambda: Gate(2, "ab", "x"),
+    "gate-matrix-ragged": lambda: Gate(2, [[1, 0], [0]], "x"),
+    "apply-matrix-string": lambda: apply_controlled(
+        init_basis_state(_qubits(), (0, 0)), (), 0, "ab"),
+    "flip-table-ragged": lambda: MultiplexedFlip(0, [[1], [1, 0]]),
+    "layout-sites-not-sites": lambda: RegisterLayout((1, 2)),
+    "layout-sites-not-a-sequence": lambda: RegisterLayout(5),
+    "circuit-steps-not-a-sequence": lambda: Circuit(_qubits(), (0, 0), 5),
+    "circuit-step-unknown": lambda: Circuit(_qubits(), (0, 0), (5,)),
+    "distribution-probability-numeric-string": lambda: IndexDistribution(("0.5", "0.5")),
+    "distribution-postselect-numeric-string": lambda: IndexDistribution((0.5, 0.5), "1"),
+    "distribution-probability-past-float": lambda: IndexDistribution((10 ** 400,)),
+    "distribution-mode": lambda: IndexDistribution((0.5, 0.5), 1.0, "bogus"),
 }
 
 
@@ -118,3 +132,10 @@ def test_malformed_input_raises_invalid_input_error_and_nothing_else(call):
     # any other exception type propagates out of pytest.raises and fails the test
     with pytest.raises(InvalidInputError):
         call()
+
+
+def test_a_distribution_stores_its_mode_as_a_mode():
+    # the benchmark rebuilds a distribution positionally, with the request's mode
+    assert IndexDistribution((0.5, 0.5), 1.0, "general").mode is Mode.GENERAL
+    assert IndexDistribution((0.5, 0.5), 0.5, Mode.PAPER).mode is Mode.PAPER
+    assert IndexDistribution((0.5, 0.5)).mode is None
