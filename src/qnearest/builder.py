@@ -45,9 +45,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, _integer, _integers, _sequence
+from .errors import CapacityError, InvalidInputError, _integer, _integers, _member, _sequence
 from .gates import fourier, hadamard, pauli_x, rx
 from .state import (
+    MAX_AMPLITUDES,
     CircuitGate,
     MultiplexedFlip,
     MultiplexedRotation,
@@ -56,11 +57,11 @@ from .state import (
     Site,
     StateVector,
     _basis_state,
+    _check_capacity,
     apply_gates,
     squared_norm,
 )
 
-DEFAULT_AMPLITUDE_CAP = 1 << 26
 # Memo bound for layouts, kept by shape (mode, n, m), and for rotation
 # schedules, kept by n. A layout holds a few dozen small sites, so a process
 # cycling over many shapes keeps them all.
@@ -77,23 +78,18 @@ class Mode(str, Enum):
 class SearchProblem:
     """One search instance: find the element of ``a`` nearest to ``b``.
 
-    All values are n-bit unsigned integers. ``amplitude_cap`` bounds two
-    counts, and exceeding either raises :class:`CapacityError` before
-    anything is allocated:
-
-    - the layout's amplitude count, and so the size of the one dense view,
-      ``StateVector.amplitudes``;
-    - the d x d entries of the superposition gate on the d = max(2, m)
-      level index qudit, which is built and checked as a dense matrix.
-
-    A run itself stores only the state's support, at most 2m amplitudes.
+    All values are n-bit unsigned integers. A layout's flat indices are
+    int64, so construction raises :class:`CapacityError` when
+    :meth:`state_size` exceeds ``state.MAX_AMPLITUDES``, before the layout
+    or the bit table is built. A run itself stores only the state's
+    support, at most 2m amplitudes. The superposition gate checks its own
+    size when it is built (:func:`~qnearest.gates.fourier`).
     """
 
     n: int
     a: tuple[int, ...]
     b: int
     mode: Mode = Mode.GENERAL
-    amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
 
     def __post_init__(self) -> None:
         n, a, b = validate_instance(self.a, self.b, self.n)
@@ -101,20 +97,12 @@ class SearchProblem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mode", _mode(self.mode))
-        object.__setattr__(self, "amplitude_cap", _integer(self.amplitude_cap, "amplitude cap"))
         if self.mode is Mode.PAPER and self.m != 2:
             raise InvalidInputError(f"paper mode requires exactly 2 elements, got {self.m}")
-        if self.n >= self.amplitude_cap.bit_length():
-            # 2^n alone exceeds the cap; state_size() would build a 2^n-bit integer
-            raise CapacityError(
-                f"state needs over 2^{self.n} amplitudes, cap is {self.amplitude_cap}"
-            )
-        size, entries = self.state_size(), _index_dimension(self.m) ** 2
-        if max(size, entries) > self.amplitude_cap:
-            raise CapacityError(
-                f"state needs {size} amplitudes and its superposition gate {entries} "
-                f"matrix entries, cap is {self.amplitude_cap}"
-            )
+        if self.n >= MAX_AMPLITUDES.bit_length():
+            # 2^n alone is past int64; state_size() would build a 2^n-bit integer
+            raise CapacityError(f"state needs over 2^{self.n} amplitudes; flat indices are int64")
+        _check_capacity(self.state_size())
 
     @property
     def m(self) -> int:
@@ -138,9 +126,8 @@ class SearchProblem:
 
     @cached_property
     def _bits(self) -> np.ndarray:
-        # row 0 holds b's bits and row j + 1 a_j's, from one extraction that
-        # stays exact past int64 (n >= 64) through an object array
-        values = np.asarray((self.b, *self.a), dtype=np.int64 if self.n < 64 else object)
+        # row 0 holds b's bits and row j + 1 a_j's; construction keeps n < 63
+        values = np.asarray((self.b, *self.a), dtype=np.int64)
         bits = ((values[:, None] >> np.arange(self.n - 1, -1, -1)) & 1).astype(np.uint8)
         bits.flags.writeable = False
         return bits
@@ -180,12 +167,7 @@ def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, tuple[int,
 
 
 def _mode(value) -> Mode:
-    try:
-        return Mode(value)
-    except ValueError:
-        raise InvalidInputError(
-            f"mode must be one of paper, general, full; got {value!r}"
-        ) from None
+    return _member(Mode, value, "mode")
 
 
 def _index_dimension(m: int) -> int:

@@ -5,8 +5,10 @@ names and shortest-round-trip float formatting, so identical flags plus seed
 give byte-identical stdout. Timing goes to stderr to keep it that way.
 
 Exit codes: 0 success, 1 invalid input, 2 internal numeric error (norm
-drift, or the example check failing), 3 state exceeds the amplitude cap
-(including a bit width beyond it).
+drift, or the example check failing), 3 a size limit is exceeded: the
+layout needs more amplitudes than int64 flat indices reach (a huge bit
+width included), or a dense gate more than ``gates.MAX_MATRIX_ENTRIES``
+matrix entries.
 """
 
 from __future__ import annotations

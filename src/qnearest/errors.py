@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one integer and
-sequence check."""
+"""Exception types shared across the package, and the one integer,
+sequence and enum-member check."""
 
 import operator
+from enum import Enum
 from typing import Iterable
 
 
@@ -22,7 +23,10 @@ class NormDriftError(SimulatorError):
 
 
 class CapacityError(SimulatorError):
-    """The requested state exceeds the configured amplitude cap."""
+    """A request exceeds a size limit, raised before anything of that size
+    is allocated: a layout of more amplitudes than int64 flat indices reach
+    (``state.MAX_AMPLITUDES``), or a dense gate of more matrix entries than
+    ``gates.MAX_MATRIX_ENTRIES``."""
 
 
 def _integer(value, what: str) -> int:
@@ -52,3 +56,13 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:  # only a failing sequence is walked, to name its first non-integer
         return tuple(_integer(value, what) for value in values)
+
+
+def _member(kind: type[Enum], value, what: str) -> Enum:
+    """``value`` as a member of the enum ``kind`` (a member or a member's
+    value), or :class:`InvalidInputError` naming it and listing the values."""
+    try:
+        return kind(value)
+    except ValueError:
+        values = ", ".join(str(member.value) for member in kind)
+        raise InvalidInputError(f"{what} must be one of {values}; got {value!r}") from None

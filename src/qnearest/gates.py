@@ -18,9 +18,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer
+from .errors import CapacityError, InvalidInputError, _integer
 
 GATE_UNITARY_TOLERANCE = 1e-12
+# pauli_x and fourier build a dense d x d matrix, so d^2 may not pass this
+MAX_MATRIX_ENTRIES = 1 << 26
 # Memo bounds. Rotations are 2x2 and a search uses up to 2n distinct angles.
 # Shift and Fourier gates hold a d x d matrix, so only a few of each are
 # kept: enough for a process cycling over a few element counts.
@@ -99,14 +101,24 @@ def hadamard() -> Gate:
     return Gate(2, np.array([[r, r], [r, -r]]), "H")
 
 
+def _matrix_dimension(dimension: int) -> int:
+    """``dimension`` as an int >= 2, or :class:`CapacityError` before any
+    allocation if its d x d matrix would pass ``MAX_MATRIX_ENTRIES`` entries."""
+    dimension = _integer(dimension, "dimension")
+    if dimension < 2:
+        raise InvalidInputError(f"dimension must be >= 2, got {dimension}")
+    if dimension * dimension > MAX_MATRIX_ENTRIES:
+        raise CapacityError(f"a {dimension}-level gate needs {dimension * dimension} "
+                            f"matrix entries; dense gates stop at {MAX_MATRIX_ENTRIES}")
+    return dimension
+
+
 # typed memos: pauli_x(dimension=2.0) must be rejected, not served the
 # entry of pauli_x(dimension=2), whose key compares equal
 @lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
 def pauli_x(dimension: int = 2) -> Gate:
     """Bit flip for dimension 2; the cyclic shift |k> -> |k+1 mod d> above."""
-    dimension = _integer(dimension, "dimension")
-    if dimension < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {dimension}")
+    dimension = _matrix_dimension(dimension)
     mat = np.zeros((dimension, dimension), dtype=np.complex128)
     for k in range(dimension):
         mat[(k + 1) % dimension, k] = 1.0
@@ -116,9 +128,7 @@ def pauli_x(dimension: int = 2) -> Gate:
 @lru_cache(maxsize=MATRIX_MEMO_SIZE, typed=True)
 def fourier(dimension: int) -> Gate:
     """Discrete Fourier gate; sends |0> to the uniform superposition."""
-    dimension = _integer(dimension, "dimension")
-    if dimension < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {dimension}")
+    dimension = _matrix_dimension(dimension)
     j = np.arange(dimension)
     mat = np.exp(2j * np.pi * np.outer(j, j) / dimension) / math.sqrt(dimension)
     return Gate(dimension, mat, f"F{dimension}")

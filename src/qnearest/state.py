@@ -77,7 +77,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NormDriftError, _integer, _integers, _sequence
+from .errors import CapacityError, InvalidInputError, NormDriftError
+from .errors import _integer, _integers, _member, _sequence
 from .gates import Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
@@ -106,6 +107,7 @@ class Site:
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "role", _member(Role, self.role, f"site {self.label!r}: role"))
         object.__setattr__(self, "dimension",
                            _integer(self.dimension, f"site {self.label!r}: dimension"))
         if self.dimension < 2:
@@ -160,7 +162,7 @@ class RegisterLayout:
         Raises :class:`CapacityError` past ``MAX_AMPLITUDES`` amplitudes,
         where they could overflow int64; no state lives on such a layout.
         """
-        _check_capacity(self)
+        _check_capacity(self.total_dimension)
         return _read_only(np.array(self.strides, dtype=np.int64))
 
     def _checked(self, digits: Sequence[int]) -> tuple[int, ...]:
@@ -213,8 +215,9 @@ class StateVector:
         """The dense, read-only amplitude vector of ``layout.total_dimension`` entries.
 
         Built on first read, each stored value at its digits' flat index
-        (their dot product with :attr:`RegisterLayout.strides_array`); a
-        search never builds it.
+        (their dot product with :attr:`RegisterLayout.strides_array`). It
+        allocates all ``total_dimension`` entries and no size limit guards
+        it, so it is for small layouts; a search never builds it.
         """
         amps = np.zeros(self.layout.total_dimension, dtype=np.complex128)
         amps[self.layout.strides_array @ self.digits] = self.values
@@ -257,16 +260,17 @@ def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVect
 def _basis_state(layout: RegisterLayout, digits: tuple[int, ...]) -> StateVector:
     # ``digits`` come from ``layout._checked``: a circuit checks its initial
     # digits once, when it is built, and runs from here
-    _check_capacity(layout)
+    _check_capacity(layout.total_dimension)
     column = np.array(digits, dtype=np.int64)[:, None]
     return _frozen(layout, column, np.ones(1, dtype=np.complex128))
 
 
-def _check_capacity(layout: RegisterLayout) -> None:
-    if layout.total_dimension > MAX_AMPLITUDES:
+def _check_capacity(amplitudes: int) -> None:
+    """:class:`CapacityError` for a layout of more than ``MAX_AMPLITUDES``
+    amplitudes, whose flat indices would overflow int64."""
+    if amplitudes > MAX_AMPLITUDES:
         raise CapacityError(
-            f"layout has {layout.total_dimension} amplitudes; "
-            f"int64 flat indices stop at {MAX_AMPLITUDES}"
+            f"layout has {amplitudes} amplitudes; int64 flat indices stop at {MAX_AMPLITUDES}"
         )
 
 

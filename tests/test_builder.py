@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,7 +37,9 @@ from qnearest import (
     superposition_gates,
     value_bits,
 )
+from qnearest.builder import _layout
 from qnearest.errors import CapacityError, InvalidInputError
+from qnearest.state import MAX_AMPLITUDES
 
 # frozen by hand from the closed forms; the simulator must match to 1e-12
 PAPER_INSTANCE = dict(n=3, a=(2, 6), b=5)
@@ -309,29 +312,34 @@ def test_trivial_instance_compiles_to_superposition_only():
 def test_capacity_errors_fire_before_allocation():
     with pytest.raises(CapacityError):
         SearchProblem(8, tuple(range(8)), 1, Mode.FULL)
-    with pytest.raises(CapacityError):
-        SearchProblem(3, (2, 6), 5, Mode.GENERAL, amplitude_cap=8)
-
-
-def test_the_cap_bounds_the_superposition_gate():
-    # n = 1, m = 6: the layout holds 2 * 6 * 2 = 24 amplitudes, but the
-    # 6-level Fourier gate is a dense 6 x 6 matrix of 36 entries
-    a = (0, 1) * 3
-    assert SearchProblem(1, a, 0, amplitude_cap=36).state_size() == 24
-    with pytest.raises(CapacityError, match="36 matrix entries, cap is 35"):
-        SearchProblem(1, a, 0, amplitude_cap=35)
 
 
 @pytest.mark.parametrize("mode", [Mode.GENERAL, Mode.PAPER])
-def test_a_64_bit_circuit_is_built_exactly_and_its_run_hits_the_capacity_error(mode):
-    # past int64 the bits of a and of b are taken exactly: H, 3 + 2 copy
-    # flips, and a rotation at each of bits 0..62, where 3 differs from b
-    problem = SearchProblem(64, (2**63 + 5, 3), 2**64 - 1, mode, amplitude_cap=1 << 200)
-    labels = [cg.gate.label for cg in build_circuit(problem).gates]
-    assert len(labels) == 69
-    assert sum(label.startswith("RX") for label in labels) == 63
-    with pytest.raises(CapacityError):  # any other error, OverflowError say, fails the test
-        run(problem)
+def test_a_64_bit_problem_raises_capacity_error_at_construction(monkeypatch, mode):
+    # 2^64 copy-register amplitudes are past int64 flat indices; neither the
+    # layout nor the bit table is built, and any other error fails the test
+    monkeypatch.setattr("qnearest.builder._shared_layout", None)
+    with pytest.raises(CapacityError, match="over 2\\^64 amplitudes"):
+        SearchProblem(64, (2**63 + 5, 3), 2**64 - 1, mode)
+
+
+@pytest.mark.parametrize("mode, fits, n", [
+    (Mode.GENERAL, True, 60), (Mode.GENERAL, False, 61),
+    (Mode.PAPER, True, 61), (Mode.PAPER, False, 62),
+])
+def test_the_largest_problem_is_the_largest_int64_layout(mode, fits, n):
+    # general (n, 2) holds 2^(n + 2) amplitudes and paper (n, 2) 2^(n + 1);
+    # int64 flat indices stop at 2^63 - 1
+    a, b = ((1 << n) - 5, 12345), (1 << (n - 1)) + 3
+    if fits:
+        assert SearchProblem(n, a, b, mode).state_size() <= MAX_AMPLITUDES
+    else:
+        with pytest.raises(CapacityError, match="int64 flat indices stop at"):
+            SearchProblem(n, a, b, mode)
+
+
+def test_a_problem_is_its_instance_and_mode():
+    assert [field.name for field in dataclasses.fields(SearchProblem)] == ["n", "a", "b", "mode"]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -346,9 +354,14 @@ def test_state_size_matches_the_layout(instance, mode):
     n, a, b = instance
     if mode is Mode.PAPER:
         a = (a * 2)[:2]
-    # a cap far above any layout here, so every mode is checked at full size
-    problem = SearchProblem(n, a, b, mode, amplitude_cap=1 << 1024)
-    assert problem.state_size() == build_layout(problem).total_dimension
+    # construction raises exactly when the layout is past int64 flat indices
+    total = _layout(mode, n, len(a)).total_dimension
+    if total > MAX_AMPLITUDES:
+        with pytest.raises(CapacityError):
+            SearchProblem(n, a, b, mode)
+    else:
+        problem = SearchProblem(n, a, b, mode)
+        assert problem.state_size() == build_layout(problem).total_dimension == total
 
 
 def test_a_search_builds_its_layout_once(monkeypatch):
@@ -650,10 +663,7 @@ def test_a_circuit_keeps_its_initial_digits_as_checked_ints():
     assert execute_circuit(circuit).digits[:, 0].tolist() == [1, 0, 2, 0]
 
 
-def test_a_problem_rejects_an_unknown_mode_and_a_non_integer_cap():
+def test_a_problem_rejects_an_unknown_mode():
     with pytest.raises(InvalidInputError,
                        match="mode must be one of paper, general, full; got 'bogus'"):
         SearchProblem(3, (1, 2), 3, "bogus")
-    with pytest.raises(InvalidInputError, match="amplitude cap 1024.0 is not an integer"):
-        SearchProblem(3, (1, 2), 3, Mode.GENERAL, 1024.0)
-    assert SearchProblem(3, (1, 2), 3, "general", np.int64(1024)).amplitude_cap == 1024

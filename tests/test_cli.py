@@ -47,12 +47,14 @@ def test_search_reports_the_nearest_element(capsys):
 
 @pytest.mark.xfail(reason="ROADMAP item 8: decide's absolute 1e-9 tie rule calls the "
                           "1e-10 gap a tie and returns element 0")
+@pytest.mark.parametrize("bits, b", [(20, 600_000), (40, 600_000_000_000)])
 @pytest.mark.parametrize("mode", ["general", "paper"])
-def test_a_20_bit_search_reports_the_nearer_element(capsys, mode):
-    # element 1 is 3 from b and element 0 is 10; float64 resolves the gap
+def test_a_20_bit_search_reports_the_nearer_element(capsys, mode, bits, b):
+    # element 1 is 3 from b and element 0 is 10; at 20 bits float64 resolves
+    # the gap, and at 40 bits both probabilities print as 0.5
     code, out, _ = run_cli(
-        capsys, "search", "--bits", "20", "--target", "600000", "--array", "599990,600003",
-        "--mode", mode,
+        capsys, "search", "--bits", str(bits), "--target", str(b),
+        "--array", f"{b - 10},{b + 3}", "--mode", mode,
     )
     assert code == 0
     doc = parse_request_document(out)
@@ -195,6 +197,19 @@ def test_unwritable_output_path_exits_one_before_printing(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
+def test_a_16_bit_search_over_1024_values_runs(capsys):
+    # its layout holds 2^16 * 1,024 * 2 = 2^27 amplitudes, of which a run
+    # stores at most 2,048. b sits on element 625, so its lead clears decide's
+    # 1e-9 tie rule (ROADMAP item 8)
+    code, out, _ = run_cli(
+        capsys, "search", "--bits", "16", "--target", "40000",
+        "--array", ",".join(str(v) for v in range(0, 1 << 16, 64)),
+    )
+    assert code == 0
+    doc = parse_request_document(out)
+    assert (doc["classical_nearest"], doc["agreement"]) == ("625", "true")
 
 
 def test_capacity_overflow_exits_three(capsys):

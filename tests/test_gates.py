@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 
 from qnearest import Gate, comparison_gate, fourier, hadamard, pauli_x, rotation_schedule, rx
-from qnearest.errors import InvalidInputError
+from qnearest.errors import CapacityError, InvalidInputError
+from qnearest.gates import MAX_MATRIX_ENTRIES
 
 angles = st.floats(-4 * math.pi, 4 * math.pi)
 
@@ -197,3 +199,28 @@ def test_gate_constructors_reject_non_integer_dimensions_and_non_real_angles(mak
     with pytest.raises(InvalidInputError, match=message):
         make()
     assert type(Gate(np.int64(2), np.eye(2), "I").dimension) is int
+
+
+@pytest.mark.parametrize("make", [fourier, pauli_x])
+def test_a_dense_gate_checks_its_matrix_entries(monkeypatch, make):
+    # a 6-level gate is a dense 6 x 6 matrix of 36 entries; the memo is
+    # bypassed so the bound is read on this call
+    monkeypatch.setattr("qnearest.gates.MAX_MATRIX_ENTRIES", 36)
+    assert make.__wrapped__(6).dimension == 6
+    monkeypatch.setattr("qnearest.gates.MAX_MATRIX_ENTRIES", 35)
+    with pytest.raises(CapacityError, match="36 matrix entries; dense gates stop at 35"):
+        make.__wrapped__(6)
+
+
+@pytest.mark.parametrize("make", [fourier, pauli_x])
+def test_a_dense_gate_past_2_to_the_26_entries_raises_before_allocating(make):
+    # 8,193^2 = 67,125,249 entries > 2^26; the matrix would take 1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="67125249 matrix entries"):
+            make(8193)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert MAX_MATRIX_ENTRIES == 1 << 26
+    assert peak < 1 << 20

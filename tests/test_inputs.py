@@ -70,6 +70,7 @@ def _qubits():
 # one malformed call per public entry point that takes integers or a step
 MALFORMED = {
     "site-dimension": lambda: Site(Role.COPY, 2.5, "a"),
+    "site-role": lambda: Site(5, 2, "a"),
     "basis-digit": lambda: init_basis_state(_qubits(), (0.5, 0)),
     "basis-digit-range": lambda: init_basis_state(_qubits(), (2, 1)),
     "marginal-site": lambda: marginal_probabilities(init_basis_state(_qubits(), (0, 0)), (0.0,)),
@@ -96,7 +97,6 @@ MALFORMED = {
     "problem-n": lambda: SearchProblem(3.0, (1, 2), 3),
     "problem-b": lambda: SearchProblem(3, (1, 2), 2.5),
     "problem-mode": lambda: SearchProblem(3, (1, 2), 3, "bogus"),
-    "problem-cap": lambda: SearchProblem(3, (1, 2), 3, Mode.GENERAL, 1024.0),
     "closed-form-paper": lambda: closed_form_paper((1, 2), 3, 3.0),
     "closed-form-general": lambda: closed_form_generalized((1, 2.5), 3, 3),
     "scan": lambda: classical_nearest((1, 2), 1.5),
@@ -132,6 +132,15 @@ def test_malformed_input_raises_invalid_input_error_and_nothing_else(call):
     # any other exception type propagates out of pytest.raises and fails the test
     with pytest.raises(InvalidInputError):
         call()
+
+
+def test_a_site_stores_its_role_as_a_role():
+    layout = RegisterLayout((Site("copy", 2, "a"), Site(Role.INDEX, 3, "i")))
+    assert layout.sites[0].role is Role.COPY
+    assert layout.sites_of(Role.COPY) == (0,)
+    with pytest.raises(InvalidInputError,
+                       match="site 'a': role must be one of ref, arr, copy, index, score; got 5"):
+        Site(5, 2, "a")
 
 
 def test_a_distribution_stores_its_mode_as_a_mode():

@@ -634,8 +634,7 @@ def test_run_peak_memory_is_bounded_by_the_support():
 def test_a_general_search_on_a_2_to_the_62_amplitude_layout_runs_on_its_support():
     # copy register of 60 qubits, index and score qubits: 2^62 amplitudes,
     # of which a run stores at most four; the decision is not asserted here
-    problem = SearchProblem(60, ((1 << 60) - 5, 12345678901234567), (1 << 59) + 3,
-                            Mode.GENERAL, amplitude_cap=1 << 62)
+    problem = SearchProblem(60, ((1 << 60) - 5, 12345678901234567), (1 << 59) + 3, Mode.GENERAL)
     assert problem.layout.total_dimension == 1 << 62
     tracemalloc.start()
     try:
@@ -644,6 +643,26 @@ def test_a_general_search_on_a_2_to_the_62_amplitude_layout_runs_on_its_support(
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_a_full_8_bit_search_over_5_values_runs_on_its_support():
+    # 2^56 * 10 amplitudes, within int64 flat indices; the run stores at most
+    # ten and agrees with the compiled general mode
+    a, b = (3, 200, 77, 129, 250), 130
+    full, general = SearchProblem(8, a, b, Mode.FULL), SearchProblem(8, a, b, Mode.GENERAL)
+    assert full.layout.total_dimension == 10 << 56
+    index_distribution(run(full), full)  # first call, filling the memos, outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dist = index_distribution(run(full), full)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    expected = index_distribution(run(general), general)
+    assert np.max(np.abs(np.subtract(dist.probabilities, expected.probabilities))) <= 1e-10
+    assert abs(dist.postselect_probability - expected.postselect_probability) <= 1e-10
     assert peak <= 64 * 1024
 
 
@@ -668,10 +687,9 @@ def test_a_search_never_reads_the_dense_view(monkeypatch):
 
 
 def test_layouts_beyond_int64_flat_indices_raise_capacity_error():
-    # 2^(8 * 10) * 8 * 2 amplitudes: under this cap, but past int64 indices
-    problem = SearchProblem(8, tuple(range(8)), 3, Mode.FULL, amplitude_cap=1 << 200)
+    # 2^(8 * 10) * 8 * 2 amplitudes: past int64 indices, so the problem is refused
     with pytest.raises(CapacityError):
-        run(problem)
+        SearchProblem(8, tuple(range(8)), 3, Mode.FULL)
     with pytest.raises(CapacityError):
         init_basis_state(make_layout(*[2] * 63), (0,) * 63)
 
