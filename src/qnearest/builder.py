@@ -28,6 +28,16 @@ the same rows as gates, each also controlled on its wire. The gate lists
 :func:`copy_gates` and :func:`comparison_gates` are a stage's steps
 expanded gate by gate, as :attr:`Circuit.gates` expands them.
 
+A compiled circuit is the same for every instance of its shape (mode, n,
+m) but for the copied bits and the signed rotation angles. So its structure
+lives in a template, built and checked once per shape (:func:`_template`):
+the layout, the superposition step, the index, copy and target sites, the
+signed weight of each bit and the initial digits. Each stage builder binds
+one instance's values to it as arrays, checking only what a value can break
+(0/1 entries and digits, finite angles), and the circuit is built without
+checking its steps again. Full mode, and any hand-built :class:`Circuit`,
+is checked step by step.
+
 In every mode the net rotation a branch holding value a accumulates against
 reference b is pi * (b - a) / 2^n: bit k (most significant first) carries
 weight pi / 2^(k+1), applied with positive sign where b's bit is high and
@@ -41,11 +51,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, _integer, _integers, _member, _sequence
+from .errors import CapacityError, InvalidInputError
+from .errors import _instance, _integer, _integers, _member, _sequence
 from .gates import fourier, hadamard, pauli_x, rx
 from .state import (
     MAX_AMPLITUDES,
@@ -57,14 +68,17 @@ from .state import (
     Site,
     StateVector,
     _basis_state,
+    _bind,
     _check_capacity,
+    _read_only,
     apply_gates,
     squared_norm,
 )
 
-# Memo bound for layouts, kept by shape (mode, n, m), and for rotation
-# schedules, kept by n. A layout holds a few dozen small sites, so a process
-# cycling over many shapes keeps them all.
+# Memo bound for layouts and compiled-circuit templates, kept by shape
+# (mode, n, m), and for rotation schedules, kept by n. A layout holds a few
+# dozen small sites and a template a few small arrays, so a process cycling
+# over many shapes keeps them all.
 LAYOUT_MEMO_SIZE = 64
 
 
@@ -119,18 +133,26 @@ class SearchProblem:
         return _shared_layout(self.mode, self.n, self.m)
 
     @cached_property
+    def _shape_template(self) -> _Template:
+        # a compiled problem's checked template, read once from the memo
+        return _template(self.mode, self.n, self.m)
+
+    @cached_property
     def bit_table(self) -> np.ndarray:
         """Read-only ``(m, n)`` 0/1 uint8 array of each element's bits, most
         significant first, built on first use together with b's bits."""
         return self._bits[1:]
 
     @cached_property
+    def _values(self) -> np.ndarray:
+        # b, then each a_j, read-only; int64 is exact since construction keeps n < 63
+        return _read_only(np.asarray((self.b, *self.a), dtype=np.int64))
+
+    @cached_property
     def _bits(self) -> np.ndarray:
-        # row 0 holds b's bits and row j + 1 a_j's; construction keeps n < 63
-        values = np.asarray((self.b, *self.a), dtype=np.int64)
-        bits = ((values[:, None] >> np.arange(self.n - 1, -1, -1)) & 1).astype(np.uint8)
-        bits.flags.writeable = False
-        return bits
+        # row 0 holds b's bits and row j + 1 a_j's
+        bits = (self._values[:, None] >> np.arange(self.n - 1, -1, -1)) & 1
+        return _read_only(bits.astype(np.uint8))
 
     def state_size(self) -> int:
         """Amplitude count of this problem's layout, computed without allocating."""
@@ -228,7 +250,8 @@ class Circuit:
     steps: tuple[CircuitGate | MultiplexedFlip | MultiplexedRotation, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial_digits", self.layout._checked(self.initial_digits))
+        layout = _instance(self.layout, RegisterLayout, "circuit layout")
+        object.__setattr__(self, "initial_digits", layout._checked(self.initial_digits))
         object.__setattr__(self, "steps", _sequence(self.steps, "circuit step"))
         for step in self.steps:
             if not isinstance(step, (CircuitGate, MultiplexedFlip, MultiplexedRotation)):
@@ -296,9 +319,7 @@ def _layout(mode: Mode, n: int, m: int) -> RegisterLayout:
 _shared_layout = lru_cache(maxsize=LAYOUT_MEMO_SIZE)(_layout)
 
 
-def _initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
-    if problem.mode is not Mode.FULL:
-        return (0,) * len(layout.sites)
+def _full_initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
     # the wires hold b's bits, then each element's, as the rows of ``_bits`` do
     wires = layout.sites_of(Role.REFERENCE) + layout.sites_of(Role.ARRAY)
     digits = np.zeros(len(layout.sites), dtype=np.int64)
@@ -308,7 +329,11 @@ def _initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int
 
 def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
     """The uniform-superposition gate on the index qudit (none for m = 1)."""
-    if problem.m == 1:
+    return _superposition(layout, problem.m)
+
+
+def _superposition(layout: RegisterLayout, m: int) -> tuple[CircuitGate, ...]:
+    if m == 1:
         return ()
     index = layout.single(Role.INDEX)
     d = layout.dims[index]
@@ -333,16 +358,18 @@ def _copy_stage(
     """The copy stage as circuit steps, in every mode; its one builder.
 
     Its rows are the set bits of :attr:`SearchProblem.bit_table`: a 1 at
-    (j, k) flips copy bit k on the index-j branch. Compiled modes hold them
-    as one :class:`~qnearest.state.MultiplexedFlip` on the index qudit.
-    Full mode lists them as X gates, row by row, each also controlled on
-    array wire (j, k) reading 1.
+    (j, k) flips copy bit k on the index-j branch. Compiled modes bind them
+    to the shape's template as one :class:`~qnearest.state.MultiplexedFlip`
+    on the index qudit, over the copy bits some element sets. Full mode
+    lists them as X gates, row by row, each also controlled on array wire
+    (j, k) reading 1.
     """
-    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
     if problem.mode is not Mode.FULL:
-        parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
-        parity[: problem.m, list(copies)] = problem.bit_table
-        return (MultiplexedFlip(index, parity),)
+        template, bits = problem._shape_template, problem.bit_table
+        columns = bits.any(axis=0).nonzero()[0]
+        rows, targets = bits.take(columns, axis=1), template.copies[columns]
+        return (MultiplexedFlip._bound(template.index, template.flip_shape, targets, rows),)
+    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
     n, arrs, flip = problem.n, layout.sites_of(Role.ARRAY), pauli_x(2)
     rows = zip(*(axis.tolist() for axis in np.nonzero(problem.bit_table)))
     return tuple(CircuitGate(flip, ((index, j), (arrs[j * n + k], 1)), copies[k]) for j, k in rows)
@@ -367,24 +394,89 @@ def _comparison_stage(
     One row per bit k where some element differs from b; a rotation on a
     bit where every element matches b could never fire. The row turns the
     score qubit (the index qubit when there is none) by bit k's signed
-    weight wherever copy bit k differs from b's bit. Compiled modes hold
-    the rows as one :class:`~qnearest.state.MultiplexedRotation`, or no
-    step when there is no row. Full mode lists them as ``rx`` gates, each
-    also controlled on reference wire k reading b's bit, so the rotation
-    stays conditioned on the loaded reference value rather than baked in.
+    weight wherever copy bit k differs from b's bit. Compiled modes bind
+    the rows to the shape's template as one
+    :class:`~qnearest.state.MultiplexedRotation`: each row's copy site,
+    digit ``1 - b_k`` and angle ``signed[b_k, k]``, or no step when there is
+    no row. Full mode lists them as ``rx`` gates, each also controlled on
+    reference wire k reading b's bit, so the rotation stays conditioned on
+    the loaded reference value rather than baked in.
     """
     b_bits = problem._bits[0]
-    rows = np.flatnonzero((problem.bit_table != b_bits).any(axis=0)).tolist()
+    rows = (problem.bit_table != b_bits).any(axis=0).nonzero()[0]
+    if problem.mode is not Mode.FULL:
+        template, bits = problem._shape_template, b_bits[rows]
+        return (MultiplexedRotation._bound(template.target, template.copies[rows], 1 - bits,
+                                           template.signed[bits, rows]),) if rows.size else ()
     b_bits, weights = b_bits.tolist(), rotation_schedule(problem.n)
-    copies = layout.sites_of(Role.COPY)
+    copies, refs = layout.sites_of(Role.COPY), layout.sites_of(Role.REFERENCE)
     target = layout.single(Role.SCORE if uses_score(problem) else Role.INDEX)
-    controls = [(copies[k], 1 - b_bits[k]) for k in rows]
-    angles = [_signed_weight(b_bits[k], weights[k]) for k in rows]
+    return tuple(CircuitGate(rx(_signed_weight(b_bits[k], weights[k])),
+                             ((refs[k], b_bits[k]), (copies[k], 1 - b_bits[k])), target)
+                 for k in rows.tolist())
+
+
+class _Template(NamedTuple):
+    """What a compiled circuit's shape fixes; see :func:`_template`."""
+
+    layout: RegisterLayout
+    superposition: tuple[CircuitGate, ...]
+    index: int
+    flip_shape: tuple[int, int]
+    copies: np.ndarray
+    target: int
+    signed: np.ndarray
+    initial_digits: tuple[int, ...]
+
+
+@lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _template(mode: Mode, n: int, m: int) -> _Template:
+    """The checked template of a compiled shape, built once per shape.
+
+    It holds the shape's shared layout, superposition step, index site, the
+    flip table's shape, the copy sites (a read-only int64 array, most
+    significant bit first), the rotation target, the read-only ``(2, n)``
+    table ``signed[bit, k]`` of bit k's rotation weight signed by b's bit,
+    and the initial digits (all 0). Its structure is checked here, as a :class:`Circuit` checks it,
+    through each step's own ``check``, on the largest tables the shape
+    allows: a flip table flipping every copy site on every index digit, and
+    a rotation table with every copy bit as a row, once read at digit 0 and
+    once at digit 1. An instance's tables have a subset of those rows and
+    entries, so binding checks only values.
+    """
+    layout = _shared_layout(mode, n, m)
+    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
+    target = layout.single(Role.SCORE if _scored(mode, m) else Role.INDEX)
+    weights = rotation_schedule(n)
+    signed = np.array([[_signed_weight(bit, weight) for weight in weights] for bit in (0, 1)])
+    parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
+    parity[:, list(copies)] = 1
+    widest = [MultiplexedRotation(target, [(site, bit) for site in copies], signed[bit])
+              for bit in (0, 1)]
+    superposition = _superposition(layout, m)
+    checked = Circuit(layout, (0,) * len(layout.sites),
+                      superposition + (MultiplexedFlip(index, parity), *widest))
+    return _Template(layout, superposition, index, parity.shape,
+                     _read_only(np.array(copies, dtype=np.int64)), target, _read_only(signed),
+                     checked.initial_digits)
+
+
+def _circuit(problem: SearchProblem, stages: Sequence) -> Circuit:
+    """The superposition step, then the steps of ``stages`` (stage builders).
+
+    Full mode builds a checked :class:`Circuit`. Compiled modes take the
+    superposition step and initial digits from the shape's template, which
+    has checked the structure of every step the stage builders bind to it,
+    so the circuit is built without checking its steps again.
+    """
+    layout = problem.layout
+    steps = tuple(step for stage in stages for step in stage(problem, layout))
     if problem.mode is Mode.FULL:
-        refs = layout.sites_of(Role.REFERENCE)
-        return tuple(CircuitGate(rx(angle), ((refs[k], b_bits[k]), control), target)
-                     for k, control, angle in zip(rows, controls, angles))
-    return (MultiplexedRotation(target, controls, angles),) if rows else ()
+        steps = superposition_gates(problem, layout) + steps
+        return Circuit(layout, _full_initial_digits(problem, layout), steps)
+    template = problem._shape_template
+    return _bind(Circuit, layout=template.layout, initial_digits=template.initial_digits,
+                 steps=template.superposition + steps)
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:
@@ -392,16 +484,10 @@ def build_circuit(problem: SearchProblem) -> Circuit:
 
     In compiled modes the copy stage is one flip table (see
     :func:`_copy_stage`) and the comparison stage one rotation table (see
-    :func:`_comparison_stage`); :attr:`Circuit.gates` still lists both
-    gate by gate.
+    :func:`_comparison_stage`), bound to the shape's template;
+    :attr:`Circuit.gates` still lists both gate by gate.
     """
-    layout = problem.layout
-    steps = (
-        superposition_gates(problem, layout)
-        + _copy_stage(problem, layout)
-        + _comparison_stage(problem, layout)
-    )
-    return Circuit(layout, _initial_digits(problem, layout), steps)
+    return _circuit(problem, (_copy_stage, _comparison_stage))
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
@@ -412,9 +498,7 @@ def execute_circuit(circuit: Circuit) -> StateVector:
 
 def load_superposition(problem: SearchProblem) -> StateVector:
     """State after the loading stage: (1/sqrt(m)) sum_j |a_j> on the copy buffer, |j> on the index."""
-    layout = problem.layout
-    steps = superposition_gates(problem, layout) + _copy_stage(problem, layout)
-    return execute_circuit(Circuit(layout, _initial_digits(problem, layout), steps))
+    return execute_circuit(_circuit(problem, (_copy_stage,)))
 
 
 def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateVector:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 from .builder import Mode, SearchProblem, _mode, run
 from .errors import CapacityError, InvalidInputError, NormDriftError
-from .measure import ShotCounts, check_shots, decide, index_distribution, sample
-from .oracle import OracleReport, agreement_sweep, classical_nearest, sweep_table
+from .measure import ShotCounts, _sample, check_shots, decide, index_distribution
+from .oracle import OracleReport, _nearest, agreement_sweep, sweep_table
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -77,18 +77,23 @@ class SearchResponse:
 
 
 def run_search(request: SearchRequest) -> SearchResponse:
-    """Full pipeline for one request; the API behind the ``search`` command."""
+    """Full pipeline for one request; the API behind the ``search`` command.
+
+    Each input is checked once: the shot count up front, so a bad one fails
+    before the search runs, and n, a and b by :class:`SearchProblem`, whose
+    checked values the classical scan reads.
+    """
     if request.shots is not None:
         check_shots(request.shots)
     started = time.perf_counter()
     problem = SearchProblem(request.n, request.a, request.b, request.mode)
     dist = index_distribution(run(problem), problem)
     chosen, is_tie = decide(dist)
-    report = classical_nearest(request.a, request.b)
+    report = _nearest(problem)
     report = replace(report, agreement=chosen in report.tied_indices)
     counts = None
     if request.shots is not None:
-        counts = sample(dist, request.shots, request.seed if request.seed is not None else 0)
+        counts = _sample(dist, request.shots, request.seed if request.seed is not None else 0)
     return SearchResponse(
         request=request,
         probabilities=dist.probabilities,

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one integer,
-sequence and enum-member check."""
+sequence, enum-member and type check."""
 
 import operator
 from enum import Enum
@@ -66,3 +66,11 @@ def _member(kind: type[Enum], value, what: str) -> Enum:
     except ValueError:
         values = ", ".join(str(member.value) for member in kind)
         raise InvalidInputError(f"{what} must be one of {values}; got {value!r}") from None
+
+
+def _instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, or :class:`InvalidInputError` naming it
+    (a wrong-typed object would otherwise fail later on a missing attribute)."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value

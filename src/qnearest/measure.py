@@ -8,8 +8,8 @@ from numbers import Real
 import numpy as np
 
 from .builder import Mode, SearchProblem, _mode, uses_score
-from .errors import InvalidInputError, _integer
-from .state import Role, StateVector, marginal_probabilities
+from .errors import InvalidInputError, _instance, _integer
+from .state import Role, StateVector, _bind, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
@@ -25,7 +25,8 @@ class IndexDistribution:
     the fraction of shots the conditional distribution keeps; it is 1.0 for
     modes without a score qubit. Both are stored as floats; a value that is
     not a real number (a string included) raises :class:`InvalidInputError`.
-    ``mode``, unless None, is checked and stored as a :class:`Mode`.
+    ``mode``, unless None, is checked and stored as a :class:`Mode`. The
+    values are checked in array form (:meth:`_check`), NaN-safe.
     """
 
     probabilities: tuple[float, ...]
@@ -46,14 +47,28 @@ class IndexDistribution:
         object.__setattr__(self, "postselect_probability", keep)
         if not isinstance(self.mode, (Mode, type(None))):
             object.__setattr__(self, "mode", _mode(self.mode))
-        if not probs:
+        self._check(np.array(probs))
+
+    @classmethod
+    def _from_array(cls, probs: np.ndarray, keep: float, mode: Mode) -> IndexDistribution:
+        """The distribution of a float64 array and a float, which need no
+        conversion, so only :meth:`_check` runs."""
+        dist = _bind(cls, probabilities=tuple(probs.tolist()), postselect_probability=keep,
+                     mode=mode)
+        dist._check(probs)
+        return dist
+
+    def _check(self, probs: np.ndarray) -> None:
+        # ``probs`` is ``probabilities`` as a float64 array
+        if not probs.size:
             raise InvalidInputError("distribution must cover at least one index")
-        if not all(p >= -1e-12 for p in probs):  # also true for NaN
+        if not (probs >= -1e-12).all():  # also true for NaN
             raise InvalidInputError("negative or NaN probability")
-        if not abs(sum(probs) - 1.0) <= PROBABILITY_SUM_TOLERANCE:
-            raise InvalidInputError(f"probabilities sum to {sum(probs)!r}, not 1")
-        if not 0.0 < keep <= 1.0 + 1e-12:
-            raise InvalidInputError(f"post-selection probability {keep!r} outside (0, 1]")
+        if not abs(probs.sum() - 1.0) <= PROBABILITY_SUM_TOLERANCE:
+            raise InvalidInputError(f"probabilities sum to {float(probs.sum())!r}, not 1")
+        if not 0.0 < self.postselect_probability <= 1.0 + 1e-12:
+            raise InvalidInputError(
+                f"post-selection probability {self.postselect_probability!r} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,20 +86,20 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
     """Exact index distribution of a final state.
 
     Modes whose rotations target the index qubit read its marginal directly;
-    score-qubit modes condition the index marginal on score = 0.
+    score-qubit modes condition the index marginal on score = 0. The
+    distribution is built from the marginal's array, checked in array form.
     """
-    layout = problem.layout
-    if state.layout != layout:
+    layout = _instance(problem, SearchProblem, "problem").layout
+    if _instance(state, StateVector, "state").layout != layout:
         raise InvalidInputError("state layout does not match the problem")
     index = layout.single(Role.INDEX)
     if not uses_score(problem):
-        cells = marginal_probabilities(state, (index,)).tolist()
-        return IndexDistribution(tuple(cells[: problem.m]), 1.0, problem.mode)
-    score = layout.single(Role.SCORE)
-    cells = marginal_probabilities(state, (index, score))[:, 0].tolist()
-    keep = sum(cells)
-    probs = tuple(p / keep for p in cells[: problem.m])
-    return IndexDistribution(probs, keep, problem.mode)
+        cells = marginal_probabilities(state, (index,))
+        return IndexDistribution._from_array(cells[: problem.m], 1.0, problem.mode)
+    cells = marginal_probabilities(state, (index, layout.single(Role.SCORE)))[:, 0]
+    # Python's left-to-right float sum: NumPy's pairwise sum can round differently
+    keep = sum(cells.tolist())
+    return IndexDistribution._from_array(cells[: problem.m] / keep, keep, problem.mode)
 
 
 def decide(dist: IndexDistribution) -> tuple[int, bool]:
@@ -114,6 +129,11 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
     that NumPy's draws reject.
     """
     check_shots(shots)
+    return _sample(dist, shots, seed)
+
+
+def _sample(dist: IndexDistribution, shots: int, seed: int) -> ShotCounts:
+    """:func:`sample` for a caller that has run :func:`check_shots` itself."""
     seed = _integer(seed, "seed")
     rng = np.random.default_rng(seed % (1 << 64))
     accepted = int(rng.binomial(shots, min(dist.postselect_probability, 1.0)))

@@ -39,11 +39,21 @@ def classical_nearest(a: Sequence[int], b: int) -> OracleReport:
     values = _integers(a, "array value")
     if not values:
         raise InvalidInputError("array must be nonempty")
-    b = _integer(b, "b =")
-    distances = [abs(b - v) for v in values]
-    best = min(distances)
-    tied = tuple(j for j, d in enumerate(distances) if d == best)
-    return OracleReport(tied[0], best, tied)
+    # Python ints (an object array), so the scan is exact for any integers
+    return _scan(np.array(values, dtype=object), _integer(b, "b ="))
+
+
+def _nearest(problem: SearchProblem) -> OracleReport:
+    """:func:`classical_nearest` of a problem's values, which construction
+    has checked: scanned as int64, exact since construction keeps n < 63."""
+    return _scan(problem._values[1:], problem.b)
+
+
+def _scan(values: np.ndarray, b: int) -> OracleReport:
+    distances = np.abs(values - b)
+    best = distances.min()
+    tied = tuple(np.flatnonzero(distances == best).tolist())
+    return OracleReport(tied[0], int(best), tied)
 
 
 def _cos2_half_angles(n: int, values: tuple[int, ...], b: int) -> list[float]:

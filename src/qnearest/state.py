@@ -51,7 +51,10 @@ them four ways:
 A flip table works out at construction what its check and the kernel read
 off it (its flipped sites and their submatrix); a rotation table converts
 its controls to int pairs at construction and builds the int64 arrays the
-kernel reads on first read, after its check has range-checked them. Each
+kernel reads on first read, after its check has range-checked them. A
+table bound from those arrays by a compiled shape's template (``_bound``)
+checks only their values, and derives its parity or its pairs from them on
+first read, for ``check`` and ``expanded``. Each
 :class:`RegisterLayout` holds its strides as an int64 array, built on
 first read; the builder shares one layout per problem shape.
 
@@ -78,7 +81,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NormDriftError
-from .errors import _integer, _integers, _member, _sequence
+from .errors import _instance, _integer, _integers, _member, _sequence
 from .gates import Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
@@ -230,6 +233,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _bind(cls: type, **fields):
+    """A ``cls`` holding ``fields``, made without its ``__post_init__``: for
+    values whose checks their caller has made (a shape template's steps)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _frozen(layout: RegisterLayout, digits: np.ndarray, values: np.ndarray) -> StateVector:
     digits = digits.astype(np.int64, copy=False)
     digits.flags.writeable = False
@@ -254,7 +265,7 @@ def init_basis_state(layout: RegisterLayout, digits: Sequence[int]) -> StateVect
     Raises :class:`CapacityError` for a layout of more than
     ``MAX_AMPLITUDES`` amplitudes, whose flat indices would overflow int64.
     """
-    return _basis_state(layout, layout._checked(digits))
+    return _basis_state(layout, _instance(layout, RegisterLayout, "layout")._checked(digits))
 
 
 def _basis_state(layout: RegisterLayout, digits: tuple[int, ...]) -> StateVector:
@@ -284,8 +295,10 @@ class CircuitGate:
     target: int
 
     def check(self, dims: Sequence[int]) -> None:
-        """Reject sites :func:`check_gate_sites` rejects, and a gate whose
-        dimension is not its target site's."""
+        """Reject a gate that is not a :class:`~qnearest.gates.Gate`, sites
+        :func:`check_gate_sites` rejects, and a gate whose dimension is not
+        its target site's."""
+        _instance(self.gate, Gate, "circuit gate")
         try:
             check_gate_sites(dims, self.controls, self.target)
             if self.gate.dimension != dims[self.target]:
@@ -373,6 +386,8 @@ class MultiplexedFlip:
     What the check and the kernel read off ``parity`` is derived once,
     here, read-only: ``targets``, the int64 sites with a nonzero entry, and
     ``flips``, the boolean ``(rows, targets)`` submatrix of ``parity != 0``.
+    A table bound from those two arrays (:meth:`_bound`) derives ``parity``
+    from them instead, on first read.
     """
 
     control: int
@@ -391,6 +406,32 @@ class MultiplexedFlip:
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "targets", _read_only(targets))
         object.__setattr__(self, "flips", _read_only(nonzero[:, targets]))
+
+    @classmethod
+    def _bound(cls, control: int, shape: tuple[int, int], targets: np.ndarray,
+               rows: np.ndarray) -> MultiplexedFlip:
+        """The table of ``shape`` that flips ``targets`` where ``rows[c]``
+        reads 1, on control digits ``c < len(rows)``, and nothing above.
+
+        Its structure (sites and shape) is the caller's to have checked, as
+        a shape template has; only the entries of ``rows``, an unsigned
+        integer array, are checked, that each is 0 or 1.
+        """
+        if rows.max(initial=0) > 1:
+            raise InvalidInputError("multiplexed flip: parity table entries must be 0 or 1")
+        flips = np.zeros((shape[0], targets.size), dtype=bool)
+        flips[: len(rows)] = rows
+        return _bind(cls, control=control, targets=_read_only(targets), flips=_read_only(flips),
+                     _shape=shape)
+
+    def __getattr__(self, name: str):
+        # only a bound table lacks its parity: built from its arrays on first read
+        if name != "parity":
+            raise AttributeError(name)
+        parity = np.zeros(self._shape, dtype=np.uint8)
+        parity[:, self.targets] = self.flips
+        object.__setattr__(self, "parity", _read_only(parity))
+        return parity
 
     def check(self, dims: Sequence[int]) -> None:
         """Reject a table that :func:`check_gate_sites` would reject as gates.
@@ -445,7 +486,9 @@ class MultiplexedRotation:
     :class:`InvalidInputError`; ``controls`` is stored as a tuple of int
     pairs. Their ranges are checked by :meth:`check`, so the read-only
     int64 arrays the kernel reads, :attr:`sites` and :attr:`digits`, are
-    built on first read, after a circuit has checked the table.
+    built on first read, after a circuit has checked the table. A table
+    bound from those arrays (:meth:`_bound`) derives ``controls`` from them
+    instead, on first read.
     """
 
     target: int
@@ -462,6 +505,32 @@ class MultiplexedRotation:
         controls = zip(_integers(sites, "control site"), _integers(digits, "control digit"))
         object.__setattr__(self, "controls", tuple(controls))
         object.__setattr__(self, "angles", _read_only(angles))
+
+    @classmethod
+    def _bound(cls, target: int, sites: np.ndarray, digits: np.ndarray,
+               angles: np.ndarray) -> MultiplexedRotation:
+        """The table whose row r turns ``target`` by ``angles[r]`` where
+        qubit ``sites[r]`` reads ``digits[r]``.
+
+        Its structure (the target and each row's site) is the caller's to
+        have checked, as a shape template has; only the values are checked:
+        each digit, of an unsigned integer array, is a qubit's, 0 or 1, and
+        each angle is finite.
+        """
+        if digits.max(initial=0) > 1:
+            raise InvalidInputError("multiplexed rotation: control digits must be 0 or 1")
+        if not np.isfinite(angles).all():
+            raise InvalidInputError("multiplexed rotation: angles must be finite")
+        return _bind(cls, target=target, sites=_read_only(sites),
+                     digits=_read_only(digits.astype(np.int64)), angles=_read_only(angles))
+
+    def __getattr__(self, name: str):
+        # only a bound table lacks its pairs: built from its arrays on first read
+        if name != "controls":
+            raise AttributeError(name)
+        controls = tuple(zip(self.sites.tolist(), self.digits.tolist()))
+        object.__setattr__(self, "controls", controls)
+        return controls
 
     @cached_property
     def sites(self) -> np.ndarray:
@@ -716,7 +785,7 @@ def marginal_probabilities(state: StateVector, sites: Sequence[int]) -> np.ndarr
         raise InvalidInputError("site subset must be nonempty")
     if len(set(order)) != len(order):
         raise InvalidInputError("duplicate sites in subset")
-    layout = state.layout
+    layout = _instance(state, StateVector, "state").layout
     nsites = len(layout.sites)
     for s in order:
         if not 0 <= s < nsites:

@@ -3,13 +3,24 @@ from __future__ import annotations
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
+import qnearest.builder as builder
 from qnearest import RegisterLayout, Role, Site
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _no_template_outlives_its_test():
+    # a compiled shape's template is memoized for the process; a test that
+    # patches a builder function (the rotation signs, say) must not leave a
+    # template built from the patch to the tests after it
+    yield
+    builder._template.cache_clear()
 
 
 def make_layout(*dims: int) -> RegisterLayout:

@@ -26,6 +26,7 @@ from qnearest import (
     closed_form_generalized,
     closed_form_paper,
     fourier,
+    index_distribution,
     init_basis_state,
     marginal_probabilities,
     pauli_x,
@@ -41,13 +42,19 @@ from qnearest.errors import InvalidInputError
 @pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5)),
                                      (Mode.FULL, (2, 6, 5))])
 def test_a_search_checks_its_initial_digits_once(monkeypatch, mode, a):
+    # a compiled shape's template checks them once, when it is built, so
+    # the next search of that shape checks them no more; full mode checks
+    # each search's own, since its wires hold the values
     problem = SearchProblem(3, a, 5, mode)
     calls = []
     checked = RegisterLayout._checked
     monkeypatch.setattr(RegisterLayout, "_checked",
                         lambda self, digits: calls.append(digits) or checked(self, digits))
+    builder._template.cache_clear()
     run(problem)
     assert len(calls) == 1
+    run(SearchProblem(3, a[::-1], 1, mode))
+    assert len(calls) == (2 if mode is Mode.FULL else 1)
 
 
 def test_a_problem_checks_n_a_and_b_once(monkeypatch):
@@ -124,6 +131,13 @@ MALFORMED = {
     "distribution-postselect-numeric-string": lambda: IndexDistribution((0.5, 0.5), "1"),
     "distribution-probability-past-float": lambda: IndexDistribution((10 ** 400,)),
     "distribution-mode": lambda: IndexDistribution((0.5, 0.5), 1.0, "bogus"),
+    "circuit-layout-not-a-layout": lambda: Circuit(5, (0,), ()),
+    "basis-layout-not-a-layout": lambda: init_basis_state(5, (0,)),
+    "marginal-state-not-a-state": lambda: marginal_probabilities(5, (0,)),
+    "distribution-state-not-a-state": lambda: index_distribution(5, SearchProblem(3, (2, 6), 5)),
+    "distribution-problem-not-a-problem": lambda: index_distribution(
+        run(SearchProblem(3, (2, 6), 5)), 5),
+    "circuit-gate-not-a-gate": lambda: Circuit(_qubits(), (0, 0), (CircuitGate(5, (), 0),)),
 }
 
 

@@ -1,0 +1,198 @@
+"""A compiled circuit's structure is checked once per shape (mode, n, m), in
+its template, and each search binds its values to it as arrays: the bound
+steps equal the checked ``Circuit`` form, and a bad value still fails."""
+
+from __future__ import annotations
+
+import math
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given
+
+import qnearest.builder as builder
+import qnearest.measure as measure
+import qnearest.oracle as oracle
+import qnearest.state as state
+from conftest import instances
+from qnearest import (
+    Circuit,
+    IndexDistribution,
+    Mode,
+    MultiplexedFlip,
+    MultiplexedRotation,
+    Role,
+    SearchProblem,
+    build_circuit,
+    classical_nearest,
+    execute_circuit,
+    index_distribution,
+    rotation_schedule,
+    run,
+    superposition_gates,
+)
+from qnearest.cli import SearchRequest, run_search
+from qnearest.errors import InvalidInputError
+
+
+def _checked_circuit(problem: SearchProblem) -> Circuit:
+    """The problem's compiled circuit built through the public, checked
+    constructors, row by row from its bits, as it was before templates."""
+    layout = problem.layout
+    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
+    parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
+    parity[: problem.m, list(copies)] = problem.bit_table
+    steps = superposition_gates(problem, layout) + (MultiplexedFlip(index, parity),)
+    b_bits = [(problem.b >> (problem.n - 1 - k)) & 1 for k in range(problem.n)]
+    rows = [k for k in range(problem.n) if any((v >> (problem.n - 1 - k)) & 1 != b_bits[k]
+                                               for v in problem.a)]
+    weights = rotation_schedule(problem.n)
+    target = layout.single(Role.SCORE if problem.mode is Mode.GENERAL else Role.INDEX)
+    if rows:
+        steps += (MultiplexedRotation(target, [(copies[k], 1 - b_bits[k]) for k in rows],
+                                      [weights[k] if b_bits[k] else -weights[k] for k in rows]),)
+    return Circuit(layout, (0,) * len(layout.sites), steps)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5))])
+def test_the_second_search_of_a_shape_checks_no_structure(monkeypatch, mode, a):
+    calls = {}
+    _counting(monkeypatch, state, "check_gate_sites", calls)
+    _counting(monkeypatch, MultiplexedFlip, "check", calls)
+    _counting(monkeypatch, MultiplexedRotation, "check", calls)
+    builder._template.cache_clear()
+    run_search(SearchRequest(3, 5, a, mode))
+    assert calls["check_gate_sites"] > 0 and calls["check"] == 3  # one flip, two rotation tables
+    calls.clear()
+    run_search(SearchRequest(3, 1, a[::-1], mode))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
+@given(data=st.data())
+def test_template_bound_steps_equal_the_checked_circuit(mode, data):
+    n, a, b = data.draw(instances(max_bits=12, min_m=2 if mode is Mode.PAPER else 1,
+                                  max_m=2 if mode is Mode.PAPER else 40))
+    problem = SearchProblem(n, a, b, mode)
+    bound, checked = build_circuit(problem), _checked_circuit(problem)
+    assert bound.layout is checked.layout and bound.initial_digits == checked.initial_digits
+    assert len(bound.steps) == len(checked.steps)
+    assert bound.steps[0] == checked.steps[0] or problem.m == 1
+    for ours, theirs in zip(bound.steps, checked.steps):
+        assert type(ours) is type(theirs)
+        names = {MultiplexedFlip: ("control", "parity", "targets", "flips"),
+                 MultiplexedRotation: ("target", "controls", "sites", "digits", "angles")}
+        for name in names.get(type(ours), ()):
+            ours_value, theirs_value = getattr(ours, name), getattr(theirs, name)
+            if isinstance(theirs_value, np.ndarray):
+                assert ours_value.dtype == theirs_value.dtype, name
+                assert not ours_value.flags.writeable, name
+            assert np.array_equal(ours_value, theirs_value), name
+    assert bound.dump() == checked.dump()
+    ours, theirs = execute_circuit(bound), execute_circuit(checked)
+    assert np.array_equal(ours.digits, theirs.digits)
+    assert np.array_equal(ours.values, theirs.values)
+
+
+def test_a_bound_table_still_passes_a_circuits_checks():
+    # a bound table handed to a hand-built circuit derives what its check reads
+    problem = SearchProblem(4, (3, 9, 12), 6)
+    steps = build_circuit(problem).steps
+    assert Circuit(problem.layout, (0,) * len(problem.layout.sites), steps).dump() == \
+        build_circuit(problem).dump()
+
+
+def _with_bits(problem: SearchProblem, bits: np.ndarray) -> SearchProblem:
+    # below the template: a bit table that construction could never produce
+    problem.__dict__["_bits"] = bits
+    return problem
+
+
+def test_a_two_in_the_flip_rows_is_rejected_when_bound():
+    bits = SearchProblem(3, (2, 6), 5)._bits.copy()
+    bits[1, 0] = 2
+    with pytest.raises(InvalidInputError, match="multiplexed flip: parity table entries"):
+        build_circuit(_with_bits(SearchProblem(3, (2, 6), 5), bits))
+
+
+def test_a_nan_angle_is_rejected_when_bound(monkeypatch):
+    problem = SearchProblem(3, (2, 6), 5, Mode.PAPER)
+    template = problem._shape_template
+    signed = template.signed.copy()
+    signed[:, 0] = math.nan
+    monkeypatch.setattr(builder, "_template", lambda *key: template._replace(signed=signed))
+    with pytest.raises(InvalidInputError, match="multiplexed rotation: angles must be finite"):
+        build_circuit(SearchProblem(3, (2, 6), 5, Mode.PAPER))
+
+
+@pytest.mark.parametrize("digit", [2, 255])
+def test_an_out_of_range_digit_is_rejected_when_bound(digit):
+    template = SearchProblem(3, (2, 6), 5)._shape_template
+    digits = np.array([0, digit], dtype=np.uint8)
+    with pytest.raises(InvalidInputError, match="control digits must be 0 or 1"):
+        MultiplexedRotation._bound(template.target, template.copies[:2], digits,
+                                   template.signed[0, :2])
+
+
+def test_a_search_checks_its_shot_count_and_values_once(monkeypatch):
+    calls = {}
+    _counting(monkeypatch, measure, "check_shots", calls)
+    monkeypatch.setattr("qnearest.cli.check_shots", measure.check_shots)
+    _counting(monkeypatch, oracle, "_integer", calls)
+    _counting(monkeypatch, oracle, "_integers", calls)
+    run_search(SearchRequest(3, 5, (2, 6, 5), shots=100, seed=3))
+    assert calls == {"check_shots": 1}
+
+
+@given(instances(max_bits=58, max_m=12), st.sampled_from([Mode.PAPER, Mode.GENERAL]))
+def test_the_search_scan_is_the_public_scan(instance, mode):
+    # general (58, 12) is near the widest general layout int64 flat indices reach
+    n, a, b = instance
+    if mode is Mode.PAPER:
+        a = (a * 2)[:2]
+    assert oracle._nearest(SearchProblem(n, a, b, mode)) == classical_nearest(a, b)
+
+
+@pytest.mark.parametrize("mode, n, a, b", [
+    (Mode.GENERAL, 60, ((1 << 60) - 1, 0), (1 << 59)),
+    (Mode.GENERAL, 60, ((1 << 60) - 1, 1), 0),
+    (Mode.PAPER, 61, ((1 << 61) - 1, 0), (1 << 61) - 1),
+    (Mode.PAPER, 61, ((1 << 61) - 2, 2), (1 << 60)),
+])
+def test_the_search_scan_is_exact_at_the_widest_problems(mode, n, a, b):
+    # the widest problems that construct: ties and near-ties of 2^60-sized distances
+    report = oracle._nearest(SearchProblem(n, a, b, mode))
+    assert report == classical_nearest(a, b)
+    assert report.distance == min(abs(b - v) for v in a)
+
+
+@pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5, 0))])
+def test_the_array_built_distribution_is_the_public_one(mode, a):
+    problem = SearchProblem(3, a, 5, mode)
+    dist = index_distribution(run(problem), problem)
+    assert all(type(p) is float for p in dist.probabilities)
+    assert dist == IndexDistribution(dist.probabilities, dist.postselect_probability, mode)
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([math.nan, 1.0], "negative or NaN probability"),
+    ([-0.5, 1.5], "negative or NaN probability"),
+    ([0.5, 0.25], "sum to 0.75"),
+    ([], "at least one index"),
+])
+def test_an_array_built_distribution_keeps_every_check(probs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        IndexDistribution._from_array(np.array(probs, dtype=np.float64), 1.0, Mode.GENERAL)
+    with pytest.raises(InvalidInputError, match=message):
+        IndexDistribution(tuple(probs))
