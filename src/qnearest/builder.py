@@ -18,25 +18,32 @@ Three execution modes share one gate vocabulary:
     to the classical inputs. Copy gates become Toffoli-style (controlled on
     the array wires) and comparison rotations are controlled on the
     reference wires. Exists to validate that compiling the classical inputs
-    away, as the other two modes do, is observationally equivalent.
+    away, as the other two modes do, is observationally equivalent: it
+    computes the same floats as paper mode (m = 2) or general mode, bit for
+    bit.
 
 Each stage is built by one function for every mode, from one set of rows:
 :func:`superposition_gates`, :func:`_copy_stage` and
-:func:`_comparison_stage`. Compiled modes get one table per stage (a flip
-table for the copy, a rotation table for the comparison); full mode gets
-the same rows as gates, each also controlled on its wire. The gate lists
+:func:`_comparison_stage`. Every mode gets one table per stage, a flip
+table for the copy and a rotation table for the comparison; in full mode
+each table entry is also controlled on its wire (the array bit a flip
+copies, the reference bit a rotation row reads). The gate lists
 :func:`copy_gates` and :func:`comparison_gates` are a stage's steps
 expanded gate by gate, as :attr:`Circuit.gates` expands them.
 
-A compiled circuit is the same for every instance of its shape (mode, n,
-m) but for the copied bits and the signed rotation angles. So its structure
-lives in a template, built and checked once per shape (:func:`_template`):
-the layout, the superposition step, the index, copy and target sites, the
-signed weight of each bit and the initial digits. Each stage builder binds
-one instance's values to it as arrays, checking only what a value can break
-(0/1 entries and digits, finite angles), and the circuit is built without
-checking its steps again. Full mode, and any hand-built :class:`Circuit`,
-is checked step by step.
+A circuit is the same for every instance of its shape (mode, n, m) but
+for the copied bits, the signed rotation angles and, in full mode, the
+wire digits. So its structure lives in a template, built and checked once
+per shape (:func:`_template`): the layout, the superposition step, the
+index, copy, target and wire sites and the signed weight of each bit.
+Each stage builder binds one instance's values to it as arrays, checking
+only what a value can break (0/1 entries and digits, finite angles), and
+the circuit is built without checking its steps again. The template also
+holds the support after its superposition step, computed once, so a
+search runs only its two bound tables from there (:func:`execute_circuit`);
+in full mode it first writes its wire digits into that support's wire
+rows, which the superposition step does not touch. A hand-built
+:class:`Circuit` is checked step by step and runs from its basis state.
 
 In every mode the net rotation a branch holding value a accumulates against
 reference b is pi * (b - a) / 2^n: bit k (most significant first) carries
@@ -57,7 +64,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .errors import _instance, _integer, _integers, _member, _sequence
-from .gates import fourier, hadamard, pauli_x, rx
+from .gates import fourier, hadamard
 from .state import (
     MAX_AMPLITUDES,
     CircuitGate,
@@ -70,12 +77,13 @@ from .state import (
     _basis_state,
     _bind,
     _check_capacity,
+    _frozen,
     _read_only,
     apply_gates,
     squared_norm,
 )
 
-# Memo bound for layouts and compiled-circuit templates, kept by shape
+# Memo bound for layouts and circuit templates, kept by shape
 # (mode, n, m), and for rotation schedules, kept by n. A layout holds a few
 # dozen small sites and a template a few small arrays, so a process cycling
 # over many shapes keeps them all.
@@ -134,7 +142,7 @@ class SearchProblem:
 
     @cached_property
     def _shape_template(self) -> _Template:
-        # a compiled problem's checked template, read once from the memo
+        # the problem's checked shape template, read once from the memo
         return _template(self.mode, self.n, self.m)
 
     @cached_property
@@ -234,8 +242,8 @@ def _signed_weight(reference_bit: int, weight: float) -> float:
 class Circuit:
     """Circuit over a layout, starting from a fixed basis state.
 
-    ``steps`` holds :class:`CircuitGate` entries and, for a compiled copy
-    and comparison stage, a :class:`~qnearest.state.MultiplexedFlip` and a
+    ``steps`` holds :class:`CircuitGate` entries and, for a copy and a
+    comparison stage, a :class:`~qnearest.state.MultiplexedFlip` and a
     :class:`~qnearest.state.MultiplexedRotation`. Each step format checks
     itself against the layout (``step.check``) and lists itself gate by
     gate (``step.expanded``), so the circuit reads no step's internals.
@@ -248,6 +256,9 @@ class Circuit:
     layout: RegisterLayout
     initial_digits: tuple[int, ...]
     steps: tuple[CircuitGate | MultiplexedFlip | MultiplexedRotation, ...]
+    # set only on a template-bound circuit: the state after its superposition
+    # step and the steps left to run from it
+    _resume = None
 
     def __post_init__(self) -> None:
         layout = _instance(self.layout, RegisterLayout, "circuit layout")
@@ -319,14 +330,6 @@ def _layout(mode: Mode, n: int, m: int) -> RegisterLayout:
 _shared_layout = lru_cache(maxsize=LAYOUT_MEMO_SIZE)(_layout)
 
 
-def _full_initial_digits(problem: SearchProblem, layout: RegisterLayout) -> tuple[int, ...]:
-    # the wires hold b's bits, then each element's, as the rows of ``_bits`` do
-    wires = layout.sites_of(Role.REFERENCE) + layout.sites_of(Role.ARRAY)
-    digits = np.zeros(len(layout.sites), dtype=np.int64)
-    digits[list(wires)] = problem._bits.ravel()
-    return tuple(digits.tolist())
-
-
 def superposition_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
     """The uniform-superposition gate on the index qudit (none for m = 1)."""
     return _superposition(layout, problem.m)
@@ -341,83 +344,69 @@ def _superposition(layout: RegisterLayout, m: int) -> tuple[CircuitGate, ...]:
 
 
 def copy_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
-    """The copy stage gate by gate: :func:`_copy_stage`'s steps, expanded as
-    :attr:`Circuit.gates` expands them.
+    """The copy stage gate by gate: :func:`_copy_stage`'s step, expanded as
+    :attr:`Circuit.gates` expands it.
 
     One X gate per set bit, element by element, most significant bit
     first, copying element j into the buffer on the index-j branch (in full
     mode also controlled on the array wire, Toffoli-style). A search runs
-    the stage's steps and does not call this.
+    the stage's step and does not call this.
     """
-    return _expanded(_copy_stage(problem, layout))
+    return _expanded(_copy_stage(problem))
 
 
-def _copy_stage(
-    problem: SearchProblem, layout: RegisterLayout
-) -> tuple[CircuitGate | MultiplexedFlip, ...]:
-    """The copy stage as circuit steps, in every mode; its one builder.
+def _copy_stage(problem: SearchProblem) -> tuple[MultiplexedFlip]:
+    """The copy stage as one circuit step, in every mode; its one builder.
 
     Its rows are the set bits of :attr:`SearchProblem.bit_table`: a 1 at
-    (j, k) flips copy bit k on the index-j branch. Compiled modes bind them
-    to the shape's template as one :class:`~qnearest.state.MultiplexedFlip`
-    on the index qudit, over the copy bits some element sets. Full mode
-    lists them as X gates, row by row, each also controlled on array wire
-    (j, k) reading 1.
+    (j, k) flips copy bit k on the index-j branch. They are bound to the
+    shape's template as one :class:`~qnearest.state.MultiplexedFlip` on the
+    index qudit, over the copy bits some element sets; in full mode each
+    flip also fires only where array wire (j, k) reads 1.
     """
-    if problem.mode is not Mode.FULL:
-        template, bits = problem._shape_template, problem.bit_table
-        columns = bits.any(axis=0).nonzero()[0]
-        rows, targets = bits.take(columns, axis=1), template.copies[columns]
-        return (MultiplexedFlip._bound(template.index, template.flip_shape, targets, rows),)
-    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
-    n, arrs, flip = problem.n, layout.sites_of(Role.ARRAY), pauli_x(2)
-    rows = zip(*(axis.tolist() for axis in np.nonzero(problem.bit_table)))
-    return tuple(CircuitGate(flip, ((index, j), (arrs[j * n + k], 1)), copies[k]) for j, k in rows)
+    template, bits = problem._shape_template, problem.bit_table
+    columns = bits.any(axis=0).nonzero()[0]
+    rows, targets = bits.take(columns, axis=1), template.copies.take(columns)
+    return (MultiplexedFlip._bound(template.index, template.flip_shape, targets, rows,
+                                   template.flip_wires),)
 
 
 def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
-    """The comparison stage gate by gate: :func:`_comparison_stage`'s steps,
-    expanded as :attr:`Circuit.gates` expands them.
+    """The comparison stage gate by gate: :func:`_comparison_stage`'s step,
+    expanded as :attr:`Circuit.gates` expands it.
 
     One controlled rotation per bit position where some element differs
     from b (in full mode also controlled on the reference wire). A search
-    runs the stage's steps and does not call this.
+    runs the stage's step and does not call this.
     """
-    return _expanded(_comparison_stage(problem, layout))
+    return _expanded(_comparison_stage(problem))
 
 
-def _comparison_stage(
-    problem: SearchProblem, layout: RegisterLayout
-) -> tuple[CircuitGate | MultiplexedRotation, ...]:
+def _comparison_stage(problem: SearchProblem) -> tuple[MultiplexedRotation, ...]:
     """The comparison stage as circuit steps, in every mode; its one builder.
 
     One row per bit k where some element differs from b; a rotation on a
     bit where every element matches b could never fire. The row turns the
     score qubit (the index qubit when there is none) by bit k's signed
-    weight wherever copy bit k differs from b's bit. Compiled modes bind
-    the rows to the shape's template as one
-    :class:`~qnearest.state.MultiplexedRotation`: each row's copy site,
-    digit ``1 - b_k`` and angle ``signed[b_k, k]``, or no step when there is
-    no row. Full mode lists them as ``rx`` gates, each also controlled on
-    reference wire k reading b's bit, so the rotation stays conditioned on
+    weight wherever copy bit k differs from b's bit. The rows are bound to
+    the shape's template as one :class:`~qnearest.state.MultiplexedRotation`:
+    each row's copy site, digit ``1 - b_k`` and angle ``signed[b_k, k]``,
+    or no step when there is no row. In full mode each row also fires only
+    where reference wire k reads b_k, so the rotation stays conditioned on
     the loaded reference value rather than baked in.
     """
-    b_bits = problem._bits[0]
+    template, b_bits = problem._shape_template, problem._bits[0]
     rows = (problem.bit_table != b_bits).any(axis=0).nonzero()[0]
-    if problem.mode is not Mode.FULL:
-        template, bits = problem._shape_template, b_bits[rows]
-        return (MultiplexedRotation._bound(template.target, template.copies[rows], 1 - bits,
-                                           template.signed[bits, rows]),) if rows.size else ()
-    b_bits, weights = b_bits.tolist(), rotation_schedule(problem.n)
-    copies, refs = layout.sites_of(Role.COPY), layout.sites_of(Role.REFERENCE)
-    target = layout.single(Role.SCORE if uses_score(problem) else Role.INDEX)
-    return tuple(CircuitGate(rx(_signed_weight(b_bits[k], weights[k])),
-                             ((refs[k], b_bits[k]), (copies[k], 1 - b_bits[k])), target)
-                 for k in rows.tolist())
+    if not rows.size:
+        return ()
+    bits = b_bits.take(rows)
+    wires = None if template.wires is None else (template.wires[0].take(rows), bits)
+    return (MultiplexedRotation._bound(template.target, template.copies.take(rows), 1 - bits,
+                                       template.signed[bits, rows], wires),)
 
 
 class _Template(NamedTuple):
-    """What a compiled circuit's shape fixes; see :func:`_template`."""
+    """What a circuit's shape fixes; see :func:`_template`."""
 
     layout: RegisterLayout
     superposition: tuple[CircuitGate, ...]
@@ -426,23 +415,35 @@ class _Template(NamedTuple):
     copies: np.ndarray
     target: int
     signed: np.ndarray
-    initial_digits: tuple[int, ...]
+    wires: np.ndarray | None
+    flip_wires: np.ndarray | None
+    start: StateVector
 
 
 @lru_cache(maxsize=LAYOUT_MEMO_SIZE)
 def _template(mode: Mode, n: int, m: int) -> _Template:
-    """The checked template of a compiled shape, built once per shape.
+    """The checked template of a shape, built once per shape.
 
     It holds the shape's shared layout, superposition step, index site, the
     flip table's shape, the copy sites (a read-only int64 array, most
     significant bit first), the rotation target, the read-only ``(2, n)``
     table ``signed[bit, k]`` of bit k's rotation weight signed by b's bit,
-    and the initial digits (all 0). Its structure is checked here, as a :class:`Circuit` checks it,
-    through each step's own ``check``, on the largest tables the shape
-    allows: a flip table flipping every copy site on every index digit, and
-    a rotation table with every copy bit as a row, once read at digit 0 and
-    once at digit 1. An instance's tables have a subset of those rows and
+    and in full mode two read-only tables of wire sites (None otherwise):
+    ``wires``, of shape ``(m + 1, n)``, row 0 the reference wires and row
+    j + 1 element j's, as the rows of ``SearchProblem._bits``, and
+    ``flip_wires``, the flip table's wire table (array wire (j, k) on index
+    digit j and copy site k). Its structure is checked here, as a
+    :class:`Circuit` checks it, through each step's own ``check``, on the
+    largest tables the shape allows: a flip table flipping every copy site
+    on every element's index digit, and a rotation table with every copy
+    bit as a row, once for each digit of b's bit, each entry and row on its
+    wire in full mode. An instance's tables have a subset of those rows and
     entries, so binding checks only values.
+
+    It also holds ``start``, the support after the superposition step from
+    the all-zero basis state, computed once through
+    :func:`~qnearest.state.apply_gates` with its norm check, from which a
+    search runs its bound tables.
     """
     layout = _shared_layout(mode, n, m)
     index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
@@ -450,50 +451,70 @@ def _template(mode: Mode, n: int, m: int) -> _Template:
     weights = rotation_schedule(n)
     signed = np.array([[_signed_weight(bit, weight) for weight in weights] for bit in (0, 1)])
     parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
-    parity[:, list(copies)] = 1
-    widest = [MultiplexedRotation(target, [(site, bit) for site in copies], signed[bit])
+    parity[:m, list(copies)] = 1
+    wires = flip_wires = None
+    if mode is Mode.FULL:
+        wires = np.array(layout.sites_of(Role.REFERENCE) + layout.sites_of(Role.ARRAY))
+        wires = _read_only(wires.reshape(m + 1, n))
+        flip_wires = np.full(parity.shape, -1)
+        flip_wires[:m, list(copies)] = wires[1:]
+    widest = [MultiplexedRotation(target, [(site, 1 - bit) for site in copies], signed[bit],
+                                  None if wires is None else [(ref, bit) for ref in wires[0]])
               for bit in (0, 1)]
-    superposition = _superposition(layout, m)
-    checked = Circuit(layout, (0,) * len(layout.sites),
-                      superposition + (MultiplexedFlip(index, parity), *widest))
+    superposition, flip = _superposition(layout, m), MultiplexedFlip(index, parity, flip_wires)
+    checked = Circuit(layout, (0,) * len(layout.sites), superposition + (flip, *widest))
+    start = apply_gates(_basis_state(layout, checked.initial_digits), superposition, 1.0)
     return _Template(layout, superposition, index, parity.shape,
                      _read_only(np.array(copies, dtype=np.int64)), target, _read_only(signed),
-                     checked.initial_digits)
+                     wires, flip.wires, start)
 
 
 def _circuit(problem: SearchProblem, stages: Sequence) -> Circuit:
     """The superposition step, then the steps of ``stages`` (stage builders).
 
-    Full mode builds a checked :class:`Circuit`. Compiled modes take the
-    superposition step and initial digits from the shape's template, which
-    has checked the structure of every step the stage builders bind to it,
-    so the circuit is built without checking its steps again.
+    The template has checked the structure of every step the stage builders
+    bind to it, so the circuit is built without checking its steps again,
+    and it runs from the template's superposed support. In full mode the
+    problem's bits, already checked, are written into the wire rows of that
+    support; the superposition step touches only the index site, so this
+    start is exact. The initial digits are the support's first column.
     """
-    layout = problem.layout
-    steps = tuple(step for stage in stages for step in stage(problem, layout))
-    if problem.mode is Mode.FULL:
-        steps = superposition_gates(problem, layout) + steps
-        return Circuit(layout, _full_initial_digits(problem, layout), steps)
     template = problem._shape_template
-    return _bind(Circuit, layout=template.layout, initial_digits=template.initial_digits,
-                 steps=template.superposition + steps)
+    tables = tuple(step for stage in stages for step in stage(problem))
+    start = template.start
+    if template.wires is not None:
+        digits = start.digits.copy()
+        digits[template.wires] = problem._bits[..., None]
+        start = _frozen(template.layout, digits, start.values)
+    # the support's first column is the basis state's: index digit 0
+    initial_digits = tuple(start.digits[:, 0].tolist())
+    return _bind(Circuit, layout=template.layout, initial_digits=initial_digits,
+                 steps=template.superposition + tables, _resume=(start, tables))
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:
     """Complete circuit for any mode: superposition, copy, then comparison.
 
-    In compiled modes the copy stage is one flip table (see
-    :func:`_copy_stage`) and the comparison stage one rotation table (see
-    :func:`_comparison_stage`), bound to the shape's template;
-    :attr:`Circuit.gates` still lists both gate by gate.
+    The copy stage is one flip table (see :func:`_copy_stage`) and the
+    comparison stage one rotation table (see :func:`_comparison_stage`),
+    bound to the shape's template; :attr:`Circuit.gates` still lists both
+    gate by gate.
     """
     return _circuit(problem, (_copy_stage, _comparison_stage))
 
 
 def execute_circuit(circuit: Circuit) -> StateVector:
-    """Run the circuit's steps on its basis state (squared norm 1)."""
-    start = _basis_state(circuit.layout, circuit.initial_digits)
-    return apply_gates(start, circuit.steps, 1.0)
+    """Run the circuit's steps on its basis state (squared norm 1).
+
+    A circuit that :func:`build_circuit` bound to its shape's template runs
+    only its bound tables, from the template's support after the
+    superposition step (see :func:`_circuit`), whose measured squared norm
+    starts the running norm.
+    """
+    if circuit._resume is None:
+        return apply_gates(_basis_state(circuit.layout, circuit.initial_digits), circuit.steps, 1.0)
+    start, tables = circuit._resume
+    return apply_gates(start, tables, squared_norm(start.values))
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:
@@ -511,7 +532,7 @@ def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateV
     layout = problem.layout
     if state.layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
-    return apply_gates(state, _comparison_stage(problem, layout), squared_norm(state.values))
+    return apply_gates(state, _comparison_stage(problem), squared_norm(state.values))
 
 
 def run(problem: SearchProblem) -> StateVector:

@@ -52,12 +52,19 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class SearchRequest:
+    """One ``search`` invocation; ``mode`` is stored as a :class:`Mode`, so a
+    mode given by its value renders, and an unknown one raises
+    :class:`InvalidInputError`."""
+
     n: int
     b: int
     a: tuple[int, ...]
     mode: Mode = Mode.GENERAL
     shots: int | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", _mode(self.mode))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ O(product of dims). Gates and marginals read and write digit rows, and
 never divide a flat index.
 
 The one dense view is :attr:`StateVector.amplitudes`, built only when
-something reads it; no search reads it. It orders amplitudes row-major
-over the site list: the first site is the most significant digit of the
-flat index, so a layout with dimensions (2, 2, 2, 2) stores the basis
-state with digits (0, 1, 0, 1) at flat index 0b0101 = 5. The fibre
-grouping sorts by the same flat keys.
+something reads it; no search reads it, and past
+``gates.MAX_MATRIX_ENTRIES`` amplitudes it raises :class:`CapacityError`.
+It orders amplitudes row-major over the site list: the first site is the
+most significant digit of the flat index, so a layout with dimensions
+(2, 2, 2, 2) stores the basis state with digits (0, 1, 0, 1) at flat index
+0b0101 = 5. The fibre grouping sorts by the same flat keys.
 
 :class:`StateVector` values are immutable. The one gate kernel,
 :func:`apply_gates`, runs the circuit loop (``builder.execute_circuit``)
@@ -26,35 +27,43 @@ cannot run, and ``expanded()`` lists it as single gates. The kernel runs
 them four ways:
 
 - multiplexed flip: a :class:`MultiplexedFlip`, a table of qubit flips
-  keyed by one control site's digit (the copy stage of a compiled circuit,
-  built as a table by the builder, not detected in the gate stream),
-  executed as one XOR of the flipped sites' digit rows;
+  keyed by one control site's digit, each flip optionally also controlled
+  on a wire site reading 1 (the copy stage of every search; built as a
+  table by the builder, not detected in the gate stream), executed as one
+  XOR of the flipped sites' digit rows;
 - multiplexed rotation: a :class:`MultiplexedRotation`, a table of
-  single-control X rotations of one qubit (the comparison stage of a
-  compiled circuit, likewise built by the builder). The rotations commute,
-  so each column of a ``(2, columns)`` fibre grouping turns once, by the
-  summed angle of the rows its key selects. In general mode every stored
-  entry reaches it with target digit 0, so each entry is its own column
-  and the support is only put in order, not grouped;
+  controlled X rotations of one qubit, each row optionally also controlled
+  on a wire (the comparison stage of every search, likewise built by the
+  builder). The rotations commute, so each column of a ``(2, columns)``
+  fibre grouping turns once, by the summed angle of the rows its key
+  selects. In general mode, and full mode with m != 2, every stored entry
+  reaches it with target digit 0, so each entry is its own column and the
+  support is only put in order, not grouped;
 - permutation: a :class:`CircuitGate` whose matrix is a permutation
   matrix (X, or the cyclic shift) moves the target digits of the selected
   entries, gate by gate, and touches no amplitude;
 - fibre run: any other :class:`CircuitGate` gates on one shared target
-  (full mode's comparison stage, a lone H or Fourier gate, or a
-  permutation with phases). The support is grouped once into
-  ``(d, columns)`` fibres keyed by the non-target digits, and each gate
-  multiplies the columns its controls select. No control sits on the
-  target, so the controls read only a column's key, and are evaluated
-  once per column, not once per stored entry. From a basis state, an
-  uncontrolled gate writes one column of its matrix instead.
+  (the H or Fourier gate a shape template runs once, or a permutation
+  with phases). The support is grouped once into ``(d, columns)`` fibres
+  keyed by the non-target digits, and each gate multiplies the columns its
+  controls select. No control sits on the target, so the controls read
+  only a column's key, and are evaluated once per column, not once per
+  stored entry. From a basis state, an uncontrolled gate writes one column
+  of its matrix instead.
+
+A search runs only the two tables, from the support its shape template
+computed once after the superposition step; the gate paths (permutation
+and fibre run) serve only that one superposition step per shape,
+:func:`apply_controlled` and hand-built circuits.
 
 A flip table works out at construction what its check and the kernel read
 off it (its flipped sites and their submatrix); a rotation table converts
-its controls to int pairs at construction and builds the int64 arrays the
-kernel reads on first read, after its check has range-checked them. A
-table bound from those arrays by a compiled shape's template (``_bound``)
-checks only their values, and derives its parity or its pairs from them on
-first read, for ``check`` and ``expanded``. Each
+its controls and wires to int pairs at construction and builds the int64
+arrays the kernel reads on first read, after its check has range-checked
+them. A table bound from those arrays by a shape's template (``_bound``)
+checks only their values, and derives its parity or its control pairs
+from them on first read, for ``check`` and ``expanded``; a bound flip
+table shares its template's wire table. Each
 :class:`RegisterLayout` holds its strides as an int64 array, built on
 first read; the builder shares one layout per problem shape.
 
@@ -82,7 +91,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NormDriftError
 from .errors import _instance, _integer, _integers, _member, _sequence
-from .gates import Gate, pauli_x, rx
+from .gates import MAX_MATRIX_ENTRIES, Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
 # flat indices are int64, so no layout may hold more amplitudes than this
@@ -121,7 +130,12 @@ class Site:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered sites defining a mixed-radix tensor space and its strides."""
+    """Ordered sites defining a mixed-radix tensor space and its strides.
+
+    Construction also sets ``dims``, each site's dimension, ``strides``, the
+    row-major stride of each site, and ``total_dimension``, the product of
+    the dims.
+    """
 
     sites: tuple[Site, ...]
 
@@ -136,25 +150,11 @@ class RegisterLayout:
         strides = [1] * len(dims)
         for i in range(len(dims) - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        roles: dict[Role, tuple[int, ...]] = {}
-        for i, site in enumerate(sites):
-            roles[site.role] = roles.get(site.role, ()) + (i,)
-        object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "_total", strides[0] * dims[0])
+        roles = {role: tuple(i for i, site in enumerate(sites) if site.role is role) for role in Role}
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "strides", tuple(strides))
+        object.__setattr__(self, "total_dimension", strides[0] * dims[0])
         object.__setattr__(self, "_roles", roles)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims  # type: ignore[attr-defined]
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return self._strides  # type: ignore[attr-defined]
-
-    @property
-    def total_dimension(self) -> int:
-        return self._total  # type: ignore[attr-defined]
 
     @cached_property
     def strides_array(self) -> np.ndarray:
@@ -219,10 +219,15 @@ class StateVector:
 
         Built on first read, each stored value at its digits' flat index
         (their dot product with :attr:`RegisterLayout.strides_array`). It
-        allocates all ``total_dimension`` entries and no size limit guards
-        it, so it is for small layouts; a search never builds it.
+        allocates all ``total_dimension`` entries, so it is for small
+        layouts; past ``gates.MAX_MATRIX_ENTRIES`` of them (the dense gates'
+        limit) it raises :class:`CapacityError` before allocating. A search
+        never builds it.
         """
-        amps = np.zeros(self.layout.total_dimension, dtype=np.complex128)
+        total = self.layout.total_dimension
+        if total > MAX_MATRIX_ENTRIES:
+            raise CapacityError(f"dense view needs {total} amplitudes, past {MAX_MATRIX_ENTRIES}")
+        amps = np.zeros(total, dtype=np.complex128)
         amps[self.layout.strides_array @ self.digits] = self.values
         amps.flags.writeable = False
         return amps
@@ -383,6 +388,13 @@ class MultiplexedFlip:
     of shape ``(dims[control], number of sites)``; a circuit checks it
     against its layout with :meth:`check`.
 
+    ``wires``, when given, is an integer table of ``parity``'s shape that
+    puts one more control on each flip: flip (c, t) fires only where site
+    ``wires[c, t]`` also reads 1, so it stands for the gate
+    ``((control, c), (wires[c, t], 1)) -> t`` (full mode's copy stage, one
+    Toffoli-style flip per set array bit). An entry where ``parity`` is 0
+    is not read, and holds a site or -1. It is stored as a read-only copy.
+
     What the check and the kernel read off ``parity`` is derived once,
     here, read-only: ``targets``, the int64 sites with a nonzero entry, and
     ``flips``, the boolean ``(rows, targets)`` submatrix of ``parity != 0``.
@@ -392,26 +404,31 @@ class MultiplexedFlip:
 
     control: int
     parity: np.ndarray
+    wires: np.ndarray | None = None
     targets: np.ndarray = field(init=False, repr=False)
     flips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
             parity = _read_only(np.array(self.parity))
+            wires = None if self.wires is None else _read_only(np.array(self.wires))
         except (TypeError, ValueError) as err:  # ragged rows
-            raise InvalidInputError(f"multiplexed flip: malformed parity table: {err}") from None
+            raise InvalidInputError(f"multiplexed flip: malformed table: {err}") from None
         # a table of any other rank fails the shape check and never runs
         nonzero = parity != 0 if parity.ndim == 2 else np.zeros((0, 0), dtype=bool)
         targets = np.flatnonzero(nonzero.any(axis=0))
         object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "targets", _read_only(targets))
         object.__setattr__(self, "flips", _read_only(nonzero[:, targets]))
 
     @classmethod
     def _bound(cls, control: int, shape: tuple[int, int], targets: np.ndarray,
-               rows: np.ndarray) -> MultiplexedFlip:
+               rows: np.ndarray, wires: np.ndarray | None = None) -> MultiplexedFlip:
         """The table of ``shape`` that flips ``targets`` where ``rows[c]``
-        reads 1, on control digits ``c < len(rows)``, and nothing above.
+        reads 1, on control digits ``c < len(rows)``, and nothing above,
+        each flip (c, t) also on wire ``wires[c, t]`` when a read-only wire
+        table of ``shape`` is given.
 
         Its structure (sites and shape) is the caller's to have checked, as
         a shape template has; only the entries of ``rows``, an unsigned
@@ -422,7 +439,7 @@ class MultiplexedFlip:
         flips = np.zeros((shape[0], targets.size), dtype=bool)
         flips[: len(rows)] = rows
         return _bind(cls, control=control, targets=_read_only(targets), flips=_read_only(flips),
-                     _shape=shape)
+                     wires=wires, _shape=shape)
 
     def __getattr__(self, name: str):
         # only a bound table lacks its parity: built from its arrays on first read
@@ -434,15 +451,18 @@ class MultiplexedFlip:
         return parity
 
     def check(self, dims: Sequence[int]) -> None:
-        """Reject a table that :func:`check_gate_sites` would reject as gates.
+        """Reject a table whose gates :func:`check_gate_sites` would reject.
 
         The control site must be a known site, the table must have one row
-        per control digit and one 0/1 column per site, and every flipped
-        site must be a qubit other than the control site.
+        per control digit and one 0/1 column per site, every flipped site
+        must be a qubit, and each flip's controls must pass
+        :func:`check_gate_sites` with it. A wire table must have the parity
+        table's shape and hold sites or -1, and no flip's wire may be a
+        flipped site, whose digit the table changes.
         """
         try:
             nsites = len(dims)
-            control, parity = _integer(self.control, "control site"), self.parity
+            control, parity, wires = _integer(self.control, "control site"), self.parity, self.wires
             if not 0 <= control < nsites:
                 raise InvalidInputError(f"unknown control site {control}")
             if parity.shape != (dims[control], nsites):
@@ -451,23 +471,28 @@ class MultiplexedFlip:
                 )
             if not ((parity == 0) | (parity == 1)).all():
                 raise InvalidInputError("parity table entries must be 0 or 1")
-            for target in self.targets.tolist():
-                if target == control:
-                    raise InvalidInputError(f"site {target} used more than once in controls/target")
+            if wires is not None and (wires.shape != parity.shape or wires.dtype.kind not in "iu"
+                                      or ((wires < -1) | (wires >= nsites)).any()):
+                raise InvalidInputError(f"wire table must hold sites or -1, of shape {parity.shape}")
+            flipped = set(self.targets.tolist())
+            for gate in self.expanded():
+                (_, *wire), target = gate.controls, gate.target
+                check_gate_sites(dims, gate.controls, target)
                 if dims[target] != 2:
-                    raise InvalidInputError(
-                        f"flip target site {target} has dimension {dims[target]}, not 2"
-                    )
+                    raise InvalidInputError(f"target site {target} has dimension {dims[target]}, not 2")
+                if wire and wire[0][0] in flipped:
+                    raise InvalidInputError(f"wire site {wire[0][0]} is also flipped")
         except InvalidInputError as err:
             raise InvalidInputError(f"multiplexed flip: {err}") from None
 
     def expanded(self) -> tuple[CircuitGate, ...]:
-        """The table's single-control X gates, control digit by control
-        digit, targets in site order."""
-        flip = pauli_x(2)
-        rows, targets = np.nonzero(self.parity)
-        return tuple(CircuitGate(flip, ((self.control, c),), t)
-                     for c, t in zip(rows.tolist(), targets.tolist()))
+        """The table's X gates, control digit by control digit, targets in
+        site order, each controlled on ``(control, c)``, then on its wire."""
+        flip, (rows, targets) = pauli_x(2), np.nonzero(self.parity)
+        wires = ([((site, 1),) for site in self.wires[rows, targets].tolist()]
+                 if self.wires is not None else [()] * len(rows))
+        return tuple(CircuitGate(flip, ((self.control, c),) + wire, t)
+                     for c, t, wire in zip(rows.tolist(), targets.tolist(), wires))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,47 +507,56 @@ class MultiplexedRotation:
     read-only float copy; a circuit checks the table against its layout
     with :meth:`check`.
 
-    Every control must be a pair of integers, or construction raises
-    :class:`InvalidInputError`; ``controls`` is stored as a tuple of int
+    ``wires``, when given, holds one more ``(site, digit)`` control per
+    row: row r then fires only where ``wires[r]`` matches too, and stands
+    for the gate on ``(wires[r], controls[r]) -> target`` (full mode's
+    comparison stage, each row also read on its reference wire).
+
+    Every control and wire must be a pair of integers, or construction
+    raises :class:`InvalidInputError`; both are stored as tuples of int
     pairs. Their ranges are checked by :meth:`check`, so the read-only
-    int64 arrays the kernel reads, :attr:`sites` and :attr:`digits`, are
-    built on first read, after a circuit has checked the table. A table
-    bound from those arrays (:meth:`_bound`) derives ``controls`` from them
-    instead, on first read.
+    int64 arrays the kernel reads, :attr:`sites`, :attr:`digits`,
+    :attr:`wire_sites` and :attr:`wire_digits`, are built on first read,
+    after a circuit has checked the table. A table bound from those arrays
+    (:meth:`_bound`) derives ``controls`` from them instead, on first read.
     """
 
     target: int
     controls: tuple[tuple[int, int], ...]
     angles: np.ndarray
+    wires: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         try:
-            pairs = [(site, digit) for site, digit in self.controls]
+            object.__setattr__(self, "controls", _int_pairs(self.controls))
+            wires = None if self.wires is None else _int_pairs(self.wires)
+            object.__setattr__(self, "wires", wires)
             angles = np.array(self.angles, dtype=np.float64)
         except (TypeError, ValueError) as err:
             raise InvalidInputError(f"malformed rotation table: {err}") from None
-        sites, digits = zip(*pairs) if pairs else ((), ())
-        controls = zip(_integers(sites, "control site"), _integers(digits, "control digit"))
-        object.__setattr__(self, "controls", tuple(controls))
         object.__setattr__(self, "angles", _read_only(angles))
 
     @classmethod
-    def _bound(cls, target: int, sites: np.ndarray, digits: np.ndarray,
-               angles: np.ndarray) -> MultiplexedRotation:
+    def _bound(cls, target: int, sites: np.ndarray, digits: np.ndarray, angles: np.ndarray,
+               wires: tuple[np.ndarray, np.ndarray] | None = None) -> MultiplexedRotation:
         """The table whose row r turns ``target`` by ``angles[r]`` where
-        qubit ``sites[r]`` reads ``digits[r]``.
+        qubit ``sites[r]`` reads ``digits[r]`` (and, given ``wires``, qubit
+        ``wires[0][r]`` reads ``wires[1][r]``).
 
-        Its structure (the target and each row's site) is the caller's to
+        Its structure (the target and each row's sites) is the caller's to
         have checked, as a shape template has; only the values are checked:
         each digit, of an unsigned integer array, is a qubit's, 0 or 1, and
         each angle is finite.
         """
-        if digits.max(initial=0) > 1:
+        if digits.max(initial=0) > 1 or wires is not None and wires[1].max(initial=0) > 1:
             raise InvalidInputError("multiplexed rotation: control digits must be 0 or 1")
         if not np.isfinite(angles).all():
             raise InvalidInputError("multiplexed rotation: angles must be finite")
-        return _bind(cls, target=target, sites=_read_only(sites),
-                     digits=_read_only(digits.astype(np.int64)), angles=_read_only(angles))
+        wire_sites, wire_digits = (None, None) if wires is None else map(_int64, wires)
+        pairs = None if wires is None else tuple(zip(wire_sites.tolist(), wire_digits.tolist()))
+        return _bind(cls, target=target, sites=_read_only(sites), digits=_int64(digits),
+                     angles=_read_only(angles), wires=pairs, wire_sites=wire_sites,
+                     wire_digits=wire_digits)
 
     def __getattr__(self, name: str):
         # only a bound table lacks its pairs: built from its arrays on first read
@@ -535,20 +569,30 @@ class MultiplexedRotation:
     @cached_property
     def sites(self) -> np.ndarray:
         """Each row's control site, as a read-only int64 array."""
-        return _read_only(np.array([site for site, _ in self.controls], dtype=np.int64))
+        return _int64([site for site, _ in self.controls])
 
     @cached_property
     def digits(self) -> np.ndarray:
         """Each row's control digit, as a read-only int64 array."""
-        return _read_only(np.array([digit for _, digit in self.controls], dtype=np.int64))
+        return _int64([digit for _, digit in self.controls])
+
+    @cached_property
+    def wire_sites(self) -> np.ndarray | None:
+        """Each row's wire site, as a read-only int64 array (None without wires)."""
+        return None if self.wires is None else _int64([site for site, _ in self.wires])
+
+    @cached_property
+    def wire_digits(self) -> np.ndarray | None:
+        """Each row's wire digit, as a read-only int64 array (None without wires)."""
+        return None if self.wires is None else _int64([digit for _, digit in self.wires])
 
     def check(self, dims: Sequence[int]) -> None:
         """Reject a table whose gates would fail as circuit gates.
 
-        The target must be a qubit, every angle finite, with one angle per
-        control, and each row's control must pass :func:`check_gate_sites`
-        with the target: a known site other than the target, read at a
-        digit in range.
+        The target must be a qubit, every angle finite, with one angle (and
+        one wire, if any) per control, and each row's controls must pass
+        :func:`check_gate_sites` with the target: known sites other than
+        the target and each other, read at digits in range.
         """
         try:
             check_gate_sites(dims, (), self.target)
@@ -562,15 +606,31 @@ class MultiplexedRotation:
                 )
             if not np.isfinite(self.angles).all():
                 raise InvalidInputError("angles must be finite")
-            for control in self.controls:
-                check_gate_sites(dims, (control,), self.target)
+            if self.wires is not None and len(self.wires) != len(self.controls):
+                raise InvalidInputError(f"one wire per row expected, got {len(self.wires)}")
+            for gate in self.expanded():
+                check_gate_sites(dims, gate.controls, self.target)
         except InvalidInputError as err:
             raise InvalidInputError(f"multiplexed rotation: {err}") from None
 
     def expanded(self) -> tuple[CircuitGate, ...]:
-        """One single-control ``rx`` gate per row, in row order."""
-        return tuple(CircuitGate(rx(angle), (control,), self.target)
-                     for control, angle in zip(self.controls, self.angles.tolist()))
+        """One ``rx`` gate per row, in row order, controlled on its wire
+        (if any), then on its control."""
+        wires = [()] * len(self.controls) if self.wires is None else [(w,) for w in self.wires]
+        return tuple(CircuitGate(rx(angle), wire + (control,), self.target)
+                     for wire, control, angle in zip(wires, self.controls, self.angles.tolist()))
+
+
+def _int_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    """``(site, digit)`` pairs as int pairs; a pair that is not one raises
+    ``TypeError`` or ``ValueError``, a non-integer :class:`InvalidInputError`."""
+    pairs = [(site, digit) for site, digit in pairs]
+    sites, digits = zip(*pairs) if pairs else ((), ())
+    return tuple(zip(_integers(sites, "control site"), _integers(digits, "control digit")))
+
+
+def _int64(values) -> np.ndarray:
+    return _read_only(np.asarray(values, dtype=np.int64))
 
 
 def _selected(digits: np.ndarray, controls) -> np.ndarray | slice:
@@ -663,7 +723,8 @@ def _multiplexed_rotation(digits, values, layout, rotation: MultiplexedRotation,
 
     The support is grouped once into ``(2, columns)`` fibres on the target
     (:func:`_fibres`). A column's net angle is the sum of the angles of the
-    rows whose control its key matches, and the column turns once, by
+    rows whose control (and wire, if any) its key matches, and the column
+    turns once, by
     ``[[cos, -i sin], [-i sin, cos]]`` of half that angle. The table is
     norm-checked once.
     """
@@ -671,6 +732,8 @@ def _multiplexed_rotation(digits, values, layout, rotation: MultiplexedRotation,
     keys, fibres = _fibres(digits, values, target, 2, layout.strides_array)
     # (columns, rows) in C order: the matmul's float sums depend on its layout
     selected = np.equal(keys.take(rotation.sites, axis=0).T, rotation.digits, order="C")
+    if rotation.wire_sites is not None:
+        selected &= keys.take(rotation.wire_sites, axis=0).T == rotation.wire_digits
     half = selected @ rotation.angles / 2
     turned = np.cos(half) * fibres + -1j * np.sin(half) * fibres[::-1]
     norm += squared_norm(turned) - squared_norm(values)
@@ -698,14 +761,15 @@ def apply_gates(
 
     - multiplexed flip: a :class:`MultiplexedFlip` flips the digit rows of
       its flipped sites in one XOR, each column by the row of ``flips`` its
-      control digit reads. In compiled modes the builder emits the whole
-      copy stage as one; single-control X gates in the stream are not
-      fused, and run as permutations;
+      control digit reads, masked, for a table with wires, by each flip's
+      wire reading 1. The builder emits the whole copy stage as one;
+      controlled X gates in the stream are not fused, and run as
+      permutations;
     - multiplexed rotation: a :class:`MultiplexedRotation` groups the
       support once into ``(2, columns)`` fibres on its target and turns
       each column once, by the summed angle of the rows its key selects
-      (see :func:`_multiplexed_rotation`). In compiled modes the builder
-      emits the whole comparison stage as one;
+      (see :func:`_multiplexed_rotation`). The builder emits the whole
+      comparison stage as one;
     - permutation: a gate whose matrix is a permutation matrix (X, or the
       cyclic shift; see :attr:`~qnearest.gates.Gate.permutation`, worked
       out once per ``Gate``), gate by gate: each selected entry's target
@@ -717,15 +781,15 @@ def apply_gates(
       (the orientation of a dense block kernel; see :func:`_fibre_run`). A
       lone H, Fourier or rotation gate is a run of one; from a basis state,
       an uncontrolled one (the superposition stage) writes one column of
-      its matrix. Full mode's comparison stage is one such run.
+      its matrix.
 
     A rotation table or fibre run skips the ``np.unique`` grouping when no
     stored entry has a nonzero digit on its target: each entry is then its
     own column, and the support is only sorted (see :func:`_fibres`). This
-    holds for general mode's comparison table and for full mode's
-    comparison run when m != 2 (both target the score qubit, which reads 0
-    until then); paper mode and full mode with m = 2 turn the index qubit,
-    which holds both digits, and group.
+    holds for the comparison table of general mode and of full mode with
+    m != 2 (both target the score qubit, which reads 0 until then); paper
+    mode and full mode with m = 2 turn the index qubit, which holds both
+    digits, and group.
 
     ``norm`` is the running squared norm of the state. Each gate and each
     rotation table moves it by the squared norm of what it wrote minus what
@@ -749,7 +813,13 @@ def apply_gates(
     for kind, run in groupby(steps, key=_step_kind):
         if kind is MultiplexedFlip:
             for flip in run:
-                digits[flip.targets] ^= flip.flips[digits[flip.control]].T
+                branch = digits[flip.control]
+                fire = flip.flips[branch].T
+                if flip.wires is not None:
+                    # an entry that does not fire may read any row, -1 the last
+                    wire = flip.wires.take(flip.targets, axis=1)[branch].T
+                    fire &= digits[wire, np.arange(branch.size)] == 1
+                digits[flip.targets] ^= fire
                 _check_norm(norm)
         elif kind is MultiplexedRotation:
             for rotation in run:

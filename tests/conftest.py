@@ -13,6 +13,9 @@ hypothesis.settings.register_profile(
 )
 hypothesis.settings.load_profile("suite")
 
+# the most elements a full-mode draw takes at each bit width n <= 4
+FULL_MAX_M = {1: 16, 2: 8, 3: 5, 4: 3}
+
 
 @pytest.fixture(autouse=True)
 def _no_template_outlives_its_test():

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import instances
+from conftest import FULL_MAX_M, instances
 from dense import flat_indices
 from qnearest import (
     Circuit,
@@ -141,8 +141,6 @@ def test_compiled_gate_counts_and_dumps_are_pinned():
 # and dump(), written before full mode's gates were built by the same stage
 # builders as the compiled tables: the wire-controlled gates must not move
 FULL_DUMP_DIGEST = "3282e1eb600ba78c0fbf44da252397daea25792e4de6f2f227cbae88cb8e5ef1"
-# the most elements drawn at each bit width, so every layout fits the default cap
-FULL_MAX_M = {1: 16, 2: 8, 3: 5, 4: 3}
 
 
 def _seeded_full_problems(count, seed=23):

@@ -469,6 +469,22 @@ def _flip_table(control, rows, ones, value=1):
     return MultiplexedFlip(control, parity)
 
 
+def _wired_flip_table(wire: int) -> MultiplexedFlip:
+    # flips copy0 and copy1 on index digit 0; copy0's flip reads ``wire``, copy1's the score
+    parity = _flip_table(2, 3, [(0, 0), (0, 1)]).parity
+    wires = np.full(parity.shape, -1)
+    wires[0, :2] = wire, 3
+    return MultiplexedFlip(2, parity, wires)
+
+
+def test_circuit_accepts_a_well_formed_wired_flip_table():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    flip = _wired_flip_table(3)
+    assert [(cg.controls, cg.target) for cg in Circuit(layout, (0,) * 4, (flip,)).gates] == [
+        (((2, 0), (3, 1)), 0), (((2, 0), (3, 1)), 1)]
+    assert flip.wires[:, :2].tolist() == [[3, 3], [-1, -1], [-1, -1]]
+
+
 def test_circuit_accepts_a_well_formed_flip_table():
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     circuit = Circuit(layout, (0,) * 4, (_flip_table(2, 3, [(0, 1), (1, 0), (2, 0), (2, 1)]),))
@@ -485,9 +501,21 @@ def test_circuit_accepts_a_well_formed_flip_table():
         (_flip_table(2, 3, [(1, 0)], value=2), "entries must be 0 or 1"),
         (_flip_table(2, 2, [(1, 0)]), r"shape \(2, 4\), expected \(3, 4\)"),
         (MultiplexedFlip(2, np.zeros((3, 3), dtype=np.int64)), r"expected \(3, 4\)"),
+        (_wired_flip_table(1), "wire site 1 is also flipped"),
+        (_wired_flip_table(2), "site 2 used more than once"),
+        (_wired_flip_table(0), "site 0 used more than once"),
+        (_wired_flip_table(-1), "unknown control site -1"),
+        (MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 3), 3)),
+         r"wire table must hold sites or -1, of shape \(3, 4\)"),
+        (MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 4), 4)),
+         r"wire table must hold sites or -1"),
+        (MultiplexedFlip(2, _wired_flip_table(3).parity, _wired_flip_table(3).wires * 1.0),
+         r"wire table must hold sites or -1"),
     ],
     ids=["control-out-of-range", "target-on-control", "non-qubit-target", "entry-not-0-or-1",
-         "wrong-row-count", "wrong-column-count"],
+         "wrong-row-count", "wrong-column-count", "wire-on-a-flipped-site", "wire-on-the-control",
+         "wire-on-the-target", "wire-missing", "wire-table-shape", "wire-past-the-sites",
+         "wire-table-floats"],
 )
 def test_circuit_rejects_a_malformed_flip_table(flip, message):
     # the kernel trusts a table as it trusts a gate's sites, so building fails
@@ -570,6 +598,17 @@ def test_a_rotation_table_keeps_int64_arrays_of_its_rows():
         assert not array.flags.writeable
 
 
+def test_circuit_accepts_a_well_formed_wired_rotation_table():
+    layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
+    table = MultiplexedRotation(3, ((0, 1), (1, 0)), [0.5, -0.25], [(2, 2), (np.int64(0), 1)])
+    assert table.wires == ((2, 2), (0, 1))
+    assert table.wire_sites.tolist() == [2, 0] and table.wire_digits.tolist() == [2, 1]
+    assert Circuit(layout, (0,) * 4, (table,)).gates == (
+        CircuitGate(rx(0.5), ((2, 2), (0, 1)), 3),
+        CircuitGate(rx(-0.25), ((0, 1), (1, 0)), 3),
+    )
+
+
 def test_circuit_accepts_a_well_formed_rotation_table():
     # general (2, (1, 2, 3))'s sites: copy0:2 copy1:2 index:3 score:2
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
@@ -593,10 +632,19 @@ def test_circuit_accepts_a_well_formed_rotation_table():
         (MultiplexedRotation(3, ((0, 1),), [math.nan]), "angles must be finite"),
         (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1]), r"shape \(1,\), expected \(2,\)"),
         (MultiplexedRotation(3, ((0, 1),), [[0.1]]), r"shape \(1, 1\), expected \(1,\)"),
+        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, 0.2], ((2, 0),)),
+         "one wire per row expected, got 1"),
+        (MultiplexedRotation(3, ((0, 1),), [0.1], ((0, 0),)), "site 0 used more than once"),
+        (MultiplexedRotation(3, ((0, 1),), [0.1], ((3, 0),)), "site 3 used more than once"),
+        (MultiplexedRotation(3, ((0, 1),), [0.1], ((2, 3),)),
+         "control digit 3 out of range for site 2"),
+        (MultiplexedRotation(3, ((0, 1),), [0.1], ((4, 0),)), "unknown control site 4"),
     ],
     ids=["target-among-controls", "non-qubit-target", "digit-out-of-range",
          "unknown-control-site", "unknown-target-site", "infinite-angle", "nan-angle",
-         "length-mismatch", "angles-not-one-dimensional"],
+         "length-mismatch", "angles-not-one-dimensional", "wire-count-mismatch",
+         "wire-on-the-row-control", "wire-on-the-target", "wire-digit-out-of-range",
+         "unknown-wire-site"],
 )
 def test_circuit_rejects_a_malformed_rotation_table(table, message):
     # the kernel trusts a table as it trusts a gate's sites, so building fails

@@ -17,8 +17,12 @@ import hashlib
 import random
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given
 
+from conftest import FULL_MAX_M
 from qnearest import Mode, SearchProblem, index_distribution, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "identity.txt"
@@ -67,6 +71,35 @@ def test_distributions_are_bit_identical_to_the_golden_digests(mode):
     for req in requests():
         if req[0] is mode:
             assert digest(*req) == expected[_line(*req)], _line(*req)
+
+
+def test_full_mode_equals_the_compiled_mode_bit_for_bit():
+    # full mode runs the compiled mode's two tables, each entry also on its
+    # wire, from the same superposed support, so every float is the same
+    for mode, n, b, a in requests():
+        if mode is Mode.FULL:
+            _assert_full_is_compiled(n, a, b)
+
+
+def _assert_full_is_compiled(n: int, a: tuple[int, ...], b: int) -> None:
+    full = SearchProblem(n, a, b, Mode.FULL)
+    compiled = SearchProblem(n, a, b, Mode.PAPER if len(a) == 2 else Mode.GENERAL)
+    ours, theirs = run(full), run(compiled)
+    assert np.array_equal(ours.values, theirs.values), (n, a, b)
+    assert index_distribution(ours, full).probabilities == \
+        index_distribution(theirs, compiled).probabilities, (n, a, b)
+    assert index_distribution(ours, full).postselect_probability == \
+        index_distribution(theirs, compiled).postselect_probability, (n, a, b)
+
+
+@given(data=st.data())
+def test_full_mode_equals_the_compiled_mode_bit_for_bit_on_any_shape(data):
+    # n <= 4 and m up to the full-mode bound the dump pin draws from
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, FULL_MAX_M[n]))
+    values = st.integers(0, (1 << n) - 1)
+    _assert_full_is_compiled(n, tuple(data.draw(st.lists(values, min_size=m, max_size=m))),
+                             data.draw(values))
 
 
 def test_only_searches_turning_the_index_qubit_group_their_support(monkeypatch):

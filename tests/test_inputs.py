@@ -35,16 +35,16 @@ from qnearest import (
     rx,
     sample,
 )
-from qnearest.cli import SearchRequest, run_search
+from qnearest.cli import SearchRequest, render_pretty, render_search_document, run_search
 from qnearest.errors import InvalidInputError
 
 
 @pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5)),
                                      (Mode.FULL, (2, 6, 5))])
 def test_a_search_checks_its_initial_digits_once(monkeypatch, mode, a):
-    # a compiled shape's template checks them once, when it is built, so
-    # the next search of that shape checks them no more; full mode checks
-    # each search's own, since its wires hold the values
+    # a shape's template checks them once, when it is built, so the next
+    # search of that shape checks them no more; full mode writes its wire
+    # digits from the problem's bits, which construction has checked
     problem = SearchProblem(3, a, 5, mode)
     calls = []
     checked = RegisterLayout._checked
@@ -54,7 +54,7 @@ def test_a_search_checks_its_initial_digits_once(monkeypatch, mode, a):
     run(problem)
     assert len(calls) == 1
     run(SearchProblem(3, a[::-1], 1, mode))
-    assert len(calls) == (2 if mode is Mode.FULL else 1)
+    assert len(calls) == 1
 
 
 def test_a_problem_checks_n_a_and_b_once(monkeypatch):
@@ -123,6 +123,9 @@ MALFORMED = {
     "apply-matrix-string": lambda: apply_controlled(
         init_basis_state(_qubits(), (0, 0)), (), 0, "ab"),
     "flip-table-ragged": lambda: MultiplexedFlip(0, [[1], [1, 0]]),
+    "flip-table-wires-ragged": lambda: MultiplexedFlip(0, [[0, 1]], [[1], [1, 0]]),
+    "rotation-table-wire-digit": lambda: MultiplexedRotation(1, ((0, 1),), [0.1], ((0, 1.5),)),
+    "rotation-table-wire-not-a-pair": lambda: MultiplexedRotation(1, ((0, 1),), [0.1], (5,)),
     "layout-sites-not-sites": lambda: RegisterLayout((1, 2)),
     "layout-sites-not-a-sequence": lambda: RegisterLayout(5),
     "circuit-steps-not-a-sequence": lambda: Circuit(_qubits(), (0, 0), 5),
@@ -138,6 +141,8 @@ MALFORMED = {
     "distribution-problem-not-a-problem": lambda: index_distribution(
         run(SearchProblem(3, (2, 6), 5)), 5),
     "circuit-gate-not-a-gate": lambda: Circuit(_qubits(), (0, 0), (CircuitGate(5, (), 0),)),
+    "request-mode": lambda: SearchRequest(3, 5, (2, 6), "bogus"),
+    "request-mode-not-a-string": lambda: SearchRequest(3, 5, (2, 6), 5),
 }
 
 
@@ -155,6 +160,16 @@ def test_a_site_stores_its_role_as_a_role():
     with pytest.raises(InvalidInputError,
                        match="site 'a': role must be one of ref, arr, copy, index, score; got 5"):
         Site(5, 2, "a")
+
+
+@pytest.mark.parametrize("mode", ["general", "paper", "full"])
+def test_a_request_stores_its_mode_as_a_mode_and_renders(mode):
+    # a mode given by its value used to run and then fail to render
+    request = SearchRequest(3, 5, (2, 6), mode)
+    assert request.mode is Mode(mode)
+    response = run_search(request)
+    assert f"mode = {mode}\n" in render_search_document(response)
+    assert f"({mode} mode, 3 bits)" in render_pretty(response)
 
 
 def test_a_distribution_stores_its_mode_as_a_mode():

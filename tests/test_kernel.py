@@ -367,6 +367,56 @@ def test_a_rotation_table_turns_a_dense_state_as_its_gates_do(data):
     assert flat_indices(out).size == np.count_nonzero(out.amplitudes)
 
 
+@given(data=st.data())
+def test_a_flip_table_on_wires_moves_a_dense_state_as_its_gates_do(data):
+    # each flip also reads its own wire, a site that no flip of the table
+    # targets; the table must move amplitudes exactly as its two-control gates do
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5)))
+    control = data.draw(st.integers(0, len(dims) - 1))
+    qubits = [t for t in range(len(dims)) if t != control and dims[t] == 2]
+    targets = data.draw(st.lists(st.sampled_from(qubits), unique=True)) if qubits else []
+    wire_sites = [s for s in range(len(dims)) if s != control and s not in targets]
+    parity = np.zeros((dims[control], len(dims)), dtype=np.uint8)
+    wires = np.full(parity.shape, -1)
+    for c in range(dims[control]):
+        for t in targets if wire_sites else []:
+            if data.draw(st.booleans()):
+                parity[c, t], wires[c, t] = 1, data.draw(st.sampled_from(wire_sites))
+    layout = make_layout(*dims)
+    flip = MultiplexedFlip(control, parity, wires)
+    gates = Circuit(layout, (0,) * len(dims), (flip,)).gates
+    assert [cg.controls[1] for cg in gates] == [
+        (int(wires[c, t]), 1) for c, t in zip(*np.nonzero(parity))]
+    amps = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                        layout.total_dimension)
+    out = apply_gates(from_amplitudes(layout, amps), [flip], 1.0)
+    assert np.array_equal(out.amplitudes, reference_run(amps, dims, gates))
+
+
+@given(data=st.data())
+def test_a_rotation_table_on_wires_turns_a_dense_state_as_its_gates_do(data):
+    # each row also reads its own wire, at a site other than the target and its control
+    dims = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    dims.insert(data.draw(st.integers(0, len(dims))), 2)
+    dims = tuple(dims)
+    layout = make_layout(*dims)
+    table = _rotation_table(data.draw, dims)
+    wires = []
+    for site, _ in table.controls:
+        others = [s for s in range(len(dims)) if s not in (table.target, site)]
+        wire = data.draw(st.sampled_from(others))
+        wires.append((wire, data.draw(st.integers(0, dims[wire] - 1))))
+    table = MultiplexedRotation(table.target, table.controls, table.angles, wires)
+    gates = Circuit(layout, (0,) * len(dims), (table,)).gates
+    assert [cg.controls for cg in gates] == list(zip(wires, table.controls))
+    amps = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                        layout.total_dimension)
+    state = from_amplitudes(layout, amps)
+    out = apply_gates(state, [table], squared_norm(state.values))
+    assert np.max(np.abs(out.amplitudes - _fold(state, gates).amplitudes)) <= 1e-14
+    assert np.max(np.abs(out.amplitudes - reference_run(amps, dims, gates))) <= 1e-14
+
+
 @pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
 @given(data=st.data())
 def test_compiled_comparison_stage_turns_as_the_gate_by_gate_fold(mode, data):
@@ -644,6 +694,28 @@ def test_a_general_search_on_a_2_to_the_62_amplitude_layout_runs_on_its_support(
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 1024
+
+
+def test_the_dense_view_of_a_2_to_the_62_amplitude_state_raises_before_allocating():
+    # it used to ask NumPy for 2^62 complex entries and fail with a bare ValueError
+    state = run(SearchProblem(60, ((1 << 60) - 5, 3), 1 << 59, Mode.GENERAL))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CapacityError, match=f"dense view needs {1 << 62} amplitudes"):
+            state.amplitudes
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_the_dense_view_stops_at_the_dense_gate_limit(monkeypatch):
+    # the limit a dense gate's matrix entries have, 2^26 by default, applied to amplitudes
+    monkeypatch.setattr("qnearest.state.MAX_MATRIX_ENTRIES", 16)
+    assert init_basis_state(make_layout(2, 2, 4), (1, 0, 3)).amplitudes.size == 16
+    with pytest.raises(CapacityError, match="dense view needs 32 amplitudes"):
+        init_basis_state(make_layout(2, 4, 4), (1, 0, 3)).amplitudes
 
 
 def test_a_full_8_bit_search_over_5_values_runs_on_its_support():

@@ -1,6 +1,7 @@
-"""A compiled circuit's structure is checked once per shape (mode, n, m), in
-its template, and each search binds its values to it as arrays: the bound
-steps equal the checked ``Circuit`` form, and a bad value still fails."""
+"""A circuit's structure is checked once per shape (mode, n, m), in its
+template, and each search binds its values to it as arrays: the bound steps
+equal the checked ``Circuit`` form, and a bad value still fails. Full mode
+binds the same two tables, each entry also on its wire."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import qnearest.state as state
 from conftest import instances
 from qnearest import (
     Circuit,
+    CircuitGate,
     IndexDistribution,
     Mode,
     MultiplexedFlip,
@@ -31,28 +33,41 @@ from qnearest import (
     rotation_schedule,
     run,
     superposition_gates,
+    uses_score,
 )
 from qnearest.cli import SearchRequest, run_search
 from qnearest.errors import InvalidInputError
 
 
 def _checked_circuit(problem: SearchProblem) -> Circuit:
-    """The problem's compiled circuit built through the public, checked
-    constructors, row by row from its bits, as it was before templates."""
-    layout = problem.layout
+    """The problem's circuit built through the public, checked constructors,
+    row by row from its bits, as it was before templates; in full mode each
+    flip and rotation row is also controlled on its wire, and the wires
+    start at the values' bits."""
+    layout, n, full = problem.layout, problem.n, problem.mode is Mode.FULL
     index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
+    refs, arrs = layout.sites_of(Role.REFERENCE), layout.sites_of(Role.ARRAY)
     parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
     parity[: problem.m, list(copies)] = problem.bit_table
-    steps = superposition_gates(problem, layout) + (MultiplexedFlip(index, parity),)
-    b_bits = [(problem.b >> (problem.n - 1 - k)) & 1 for k in range(problem.n)]
-    rows = [k for k in range(problem.n) if any((v >> (problem.n - 1 - k)) & 1 != b_bits[k]
-                                               for v in problem.a)]
-    weights = rotation_schedule(problem.n)
-    target = layout.single(Role.SCORE if problem.mode is Mode.GENERAL else Role.INDEX)
+    wires = None
+    if full:  # array wire (j, k) on every element's index digit j and copy site k
+        wires = np.full(parity.shape, -1)
+        wires[: problem.m, list(copies)] = np.reshape(arrs, (problem.m, n))
+    steps = superposition_gates(problem, layout) + (MultiplexedFlip(index, parity, wires),)
+    b_bits = [(problem.b >> (n - 1 - k)) & 1 for k in range(n)]
+    rows = [k for k in range(n) if any((v >> (n - 1 - k)) & 1 != b_bits[k] for v in problem.a)]
+    weights = rotation_schedule(n)
+    target = layout.single(Role.SCORE if uses_score(problem) else Role.INDEX)
     if rows:
         steps += (MultiplexedRotation(target, [(copies[k], 1 - b_bits[k]) for k in rows],
-                                      [weights[k] if b_bits[k] else -weights[k] for k in rows]),)
-    return Circuit(layout, (0,) * len(layout.sites), steps)
+                                      [weights[k] if b_bits[k] else -weights[k] for k in rows],
+                                      [(refs[k], b_bits[k]) for k in rows] if full else None),)
+    digits = [0] * len(layout.sites)
+    if full:
+        for site, bit in zip(refs + arrs, b_bits + [bit for v in problem.a for bit in
+                                                     ((v >> (n - 1 - k)) & 1 for k in range(n))]):
+            digits[site] = bit
+    return Circuit(layout, digits, steps)
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -65,12 +80,14 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5))])
+@pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5)),
+                                     (Mode.FULL, (2, 6, 5))])
 def test_the_second_search_of_a_shape_checks_no_structure(monkeypatch, mode, a):
     calls = {}
     _counting(monkeypatch, state, "check_gate_sites", calls)
     _counting(monkeypatch, MultiplexedFlip, "check", calls)
     _counting(monkeypatch, MultiplexedRotation, "check", calls)
+    _counting(monkeypatch, CircuitGate, "__init__", calls)
     builder._template.cache_clear()
     run_search(SearchRequest(3, 5, a, mode))
     assert calls["check_gate_sites"] > 0 and calls["check"] == 3  # one flip, two rotation tables
@@ -79,22 +96,36 @@ def test_the_second_search_of_a_shape_checks_no_structure(monkeypatch, mode, a):
     assert calls == {}
 
 
-@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL])
+STEP_ARRAYS = {
+    MultiplexedFlip: ("control", "parity", "targets", "flips", "wires"),
+    MultiplexedRotation: ("target", "controls", "sites", "digits", "angles", "wires",
+                          "wire_sites", "wire_digits"),
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.GENERAL, Mode.FULL])
 @given(data=st.data())
 def test_template_bound_steps_equal_the_checked_circuit(mode, data):
-    n, a, b = data.draw(instances(max_bits=12, min_m=2 if mode is Mode.PAPER else 1,
-                                  max_m=2 if mode is Mode.PAPER else 40))
+    max_bits, min_m, max_m = {Mode.PAPER: (12, 2, 2), Mode.GENERAL: (12, 1, 40),
+                              Mode.FULL: (3, 1, 5)}[mode]
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
     problem = SearchProblem(n, a, b, mode)
     bound, checked = build_circuit(problem), _checked_circuit(problem)
     assert bound.layout is checked.layout and bound.initial_digits == checked.initial_digits
     assert len(bound.steps) == len(checked.steps)
-    assert bound.steps[0] == checked.steps[0] or problem.m == 1
+    if problem.m > 1:
+        # the same gate by value: a memoized Fourier gate may have been rebuilt since
+        # the template took it, when a draw cycled over more element counts than its memo keeps
+        ours, theirs = bound.steps[0], checked.steps[0]
+        assert (ours.controls, ours.target, ours.gate.label) == \
+            (theirs.controls, theirs.target, theirs.gate.label)
+        assert np.array_equal(ours.gate.matrix, theirs.gate.matrix)
     for ours, theirs in zip(bound.steps, checked.steps):
         assert type(ours) is type(theirs)
-        names = {MultiplexedFlip: ("control", "parity", "targets", "flips"),
-                 MultiplexedRotation: ("target", "controls", "sites", "digits", "angles")}
-        for name in names.get(type(ours), ()):
+        for name in STEP_ARRAYS.get(type(ours), ()):
             ours_value, theirs_value = getattr(ours, name), getattr(theirs, name)
+            assert (ours_value is None) == (theirs_value is None) == (mode is not Mode.FULL) \
+                or "wire" not in name, name
             if isinstance(theirs_value, np.ndarray):
                 assert ours_value.dtype == theirs_value.dtype, name
                 assert not ours_value.flags.writeable, name
@@ -143,6 +174,30 @@ def test_an_out_of_range_digit_is_rejected_when_bound(digit):
     with pytest.raises(InvalidInputError, match="control digits must be 0 or 1"):
         MultiplexedRotation._bound(template.target, template.copies[:2], digits,
                                    template.signed[0, :2])
+
+
+def test_a_bad_value_below_the_full_template_is_rejected(monkeypatch):
+    # full mode binds its tables as the compiled modes do, wires included,
+    # and checks each value that could break them
+    bits = SearchProblem(3, (2, 6), 5, Mode.FULL)._bits.copy()
+    bits[1, 0] = 2
+    with pytest.raises(InvalidInputError, match="multiplexed flip: parity table entries"):
+        build_circuit(_with_bits(SearchProblem(3, (2, 6), 5, Mode.FULL), bits))
+    template = SearchProblem(3, (2, 6), 5, Mode.FULL)._shape_template
+    signed = template.signed.copy()
+    signed[:, 0] = math.nan
+    monkeypatch.setattr(builder, "_template", lambda *key: template._replace(signed=signed))
+    with pytest.raises(InvalidInputError, match="multiplexed rotation: angles must be finite"):
+        build_circuit(SearchProblem(3, (2, 6), 5, Mode.FULL))
+
+
+@pytest.mark.parametrize("digit", [2, 255])
+def test_an_out_of_range_wire_digit_is_rejected_when_bound(digit):
+    template = SearchProblem(3, (2, 6), 5, Mode.FULL)._shape_template
+    digits, wires = np.zeros(2, dtype=np.uint8), np.array([0, digit], dtype=np.uint8)
+    with pytest.raises(InvalidInputError, match="control digits must be 0 or 1"):
+        MultiplexedRotation._bound(template.target, template.copies[:2], digits,
+                                   template.signed[0, :2], (template.wires[0, :2], wires))
 
 
 def test_a_search_checks_its_shot_count_and_values_once(monkeypatch):
