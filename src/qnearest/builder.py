@@ -36,11 +36,12 @@ for the copied bits, the signed rotation angles and, in full mode, the
 wire digits. So its structure lives in a template, built and checked once
 per shape (:func:`_template`): the layout, the superposition step, the
 index, copy, target and wire sites and the signed weight of each bit.
-Each stage builder binds one instance's values to it as arrays, checking
-only what a value can break (0/1 entries and digits, finite angles), and
-the circuit is built without checking its steps again. The template also
+Each stage builder builds one instance's table from the template's arrays
+through the table's constructor, which checks only what a value can break
+(0/1 entries, finite angles), and the circuit is built without checking
+its steps again. The template also
 holds the support after its superposition step, computed once, so a
-search runs only its two bound tables from there (:func:`execute_circuit`);
+search runs only its two tables from there (:func:`execute_circuit`);
 in full mode it first writes its wire digits into that support's wire
 rows, which the superposition step does not touch. A hand-built
 :class:`Circuit` is checked step by step and runs from its basis state.
@@ -359,16 +360,15 @@ def _copy_stage(problem: SearchProblem) -> tuple[MultiplexedFlip]:
     """The copy stage as one circuit step, in every mode; its one builder.
 
     Its rows are the set bits of :attr:`SearchProblem.bit_table`: a 1 at
-    (j, k) flips copy bit k on the index-j branch. They are bound to the
-    shape's template as one :class:`~qnearest.state.MultiplexedFlip` on the
-    index qudit, over the copy bits some element sets; in full mode each
-    flip also fires only where array wire (j, k) reads 1.
+    (j, k) flips copy bit k on the index-j branch. They are written into
+    the copy columns of a parity table of the shape's template, one
+    :class:`~qnearest.state.MultiplexedFlip` on the index qudit; in full
+    mode each flip also fires only where array wire (j, k) reads 1.
     """
     template, bits = problem._shape_template, problem.bit_table
-    columns = bits.any(axis=0).nonzero()[0]
-    rows, targets = bits.take(columns, axis=1), template.copies.take(columns)
-    return (MultiplexedFlip._bound(template.index, template.flip_shape, targets, rows,
-                                   template.flip_wires),)
+    parity = np.zeros(template.flip_shape, dtype=np.uint8)
+    parity[: len(bits), template.copies] = bits
+    return (MultiplexedFlip(template.index, parity, template.flip_wires),)
 
 
 def comparison_gates(problem: SearchProblem, layout: RegisterLayout) -> tuple[CircuitGate, ...]:
@@ -388,21 +388,22 @@ def _comparison_stage(problem: SearchProblem) -> tuple[MultiplexedRotation, ...]
     One row per bit k where some element differs from b; a rotation on a
     bit where every element matches b could never fire. The row turns the
     score qubit (the index qubit when there is none) by bit k's signed
-    weight wherever copy bit k differs from b's bit. The rows are bound to
-    the shape's template as one :class:`~qnearest.state.MultiplexedRotation`:
-    each row's copy site, digit ``1 - b_k`` and angle ``signed[b_k, k]``,
-    or no step when there is no row. In full mode each row also fires only
-    where reference wire k reads b_k, so the rotation stays conditioned on
-    the loaded reference value rather than baked in.
+    weight wherever copy bit k differs from b's bit. The rows are read off
+    the shape's template, indexed ``[b_k, k]``, as one
+    :class:`~qnearest.state.MultiplexedRotation`: each row's control
+    (copy k, ``1 - b_k``) and angle ``signed[b_k, k]``, or no step when
+    there is no row. In full mode each row also fires only where reference
+    wire k reads b_k (``references[b_k, k]``), so the rotation stays
+    conditioned on the loaded reference value rather than baked in.
     """
     template, b_bits = problem._shape_template, problem._bits[0]
     rows = (problem.bit_table != b_bits).any(axis=0).nonzero()[0]
     if not rows.size:
         return ()
     bits = b_bits.take(rows)
-    wires = None if template.wires is None else (template.wires[0].take(rows), bits)
-    return (MultiplexedRotation._bound(template.target, template.copies.take(rows), 1 - bits,
-                                       template.signed[bits, rows], wires),)
+    wires = None if template.references is None else template.references[bits, rows]
+    return (MultiplexedRotation(template.target, template.controls[bits, rows],
+                                template.signed[bits, rows], wires),)
 
 
 class _Template(NamedTuple):
@@ -415,6 +416,8 @@ class _Template(NamedTuple):
     copies: np.ndarray
     target: int
     signed: np.ndarray
+    controls: np.ndarray
+    references: np.ndarray | None
     wires: np.ndarray | None
     flip_wires: np.ndarray | None
     start: StateVector
@@ -426,47 +429,58 @@ def _template(mode: Mode, n: int, m: int) -> _Template:
 
     It holds the shape's shared layout, superposition step, index site, the
     flip table's shape, the copy sites (a read-only int64 array, most
-    significant bit first), the rotation target, the read-only ``(2, n)``
-    table ``signed[bit, k]`` of bit k's rotation weight signed by b's bit,
-    and in full mode two read-only tables of wire sites (None otherwise):
-    ``wires``, of shape ``(m + 1, n)``, row 0 the reference wires and row
-    j + 1 element j's, as the rows of ``SearchProblem._bits``, and
-    ``flip_wires``, the flip table's wire table (array wire (j, k) on index
-    digit j and copy site k). Its structure is checked here, as a
-    :class:`Circuit` checks it, through each step's own ``check``, on the
-    largest tables the shape allows: a flip table flipping every copy site
-    on every element's index digit, and a rotation table with every copy
-    bit as a row, once for each digit of b's bit, each entry and row on its
-    wire in full mode. An instance's tables have a subset of those rows and
-    entries, so binding checks only values.
+    significant bit first), the rotation target, and read-only tables
+    indexed ``[bit, k]`` by b's bit and the bit position: ``signed``, of
+    shape ``(2, n)``, bit k's rotation weight signed by b's bit, and
+    ``controls``, of shape ``(2, n, 2)``, the row's control pair (copy k,
+    ``1 - bit``). In full mode it also holds three read-only tables of wire
+    sites (None otherwise): ``references``, the ``(2, n, 2)`` pairs
+    (reference wire k, ``bit``); ``wires``, of shape ``(m + 1, n)``, row 0
+    the reference wires and row j + 1 element j's, as the rows of
+    ``SearchProblem._bits``; and ``flip_wires``, the flip table's wire
+    table (array wire (j, k) on index digit j and copy site k). Its
+    structure is checked here, as a :class:`Circuit` checks it, through
+    each step's own ``check``, on the largest tables the shape allows: a
+    flip table flipping every copy site on every element's index digit,
+    and a rotation table with every copy bit as a row, once for each digit
+    of b's bit, each entry and row on its wire in full mode. An instance's
+    tables have a subset of those rows and entries, so a search's tables
+    are built through their constructors, which check only values.
 
     It also holds ``start``, the support after the superposition step from
     the all-zero basis state, computed once through
     :func:`~qnearest.state.apply_gates` with its norm check, from which a
-    search runs its bound tables.
+    search runs its two tables.
     """
     layout = _shared_layout(mode, n, m)
-    index, copies = layout.single(Role.INDEX), layout.sites_of(Role.COPY)
+    index = layout.single(Role.INDEX)
+    copies = _read_only(np.array(layout.sites_of(Role.COPY), dtype=np.int64))
     target = layout.single(Role.SCORE if _scored(mode, m) else Role.INDEX)
     weights = rotation_schedule(n)
     signed = np.array([[_signed_weight(bit, weight) for weight in weights] for bit in (0, 1)])
+    controls, references = _pair_table(copies, (1, 0)), None
     parity = np.zeros((layout.dims[index], len(layout.sites)), dtype=np.uint8)
-    parity[:m, list(copies)] = 1
+    parity[:m, copies] = 1
     wires = flip_wires = None
     if mode is Mode.FULL:
         wires = np.array(layout.sites_of(Role.REFERENCE) + layout.sites_of(Role.ARRAY))
         wires = _read_only(wires.reshape(m + 1, n))
+        references = _pair_table(wires[0], (0, 1))
         flip_wires = np.full(parity.shape, -1)
-        flip_wires[:m, list(copies)] = wires[1:]
-    widest = [MultiplexedRotation(target, [(site, 1 - bit) for site in copies], signed[bit],
-                                  None if wires is None else [(ref, bit) for ref in wires[0]])
+        flip_wires[:m, copies] = wires[1:]
+    widest = [MultiplexedRotation(target, controls[bit], signed[bit],
+                                  None if references is None else references[bit])
               for bit in (0, 1)]
     superposition, flip = _superposition(layout, m), MultiplexedFlip(index, parity, flip_wires)
     checked = Circuit(layout, (0,) * len(layout.sites), superposition + (flip, *widest))
     start = apply_gates(_basis_state(layout, checked.initial_digits), superposition, 1.0)
-    return _Template(layout, superposition, index, parity.shape,
-                     _read_only(np.array(copies, dtype=np.int64)), target, _read_only(signed),
-                     wires, flip.wires, start)
+    return _Template(layout, superposition, index, parity.shape, copies, target,
+                     _read_only(signed), controls, references, wires, flip.wires, start)
+
+
+def _pair_table(sites: np.ndarray, digits: tuple[int, int]) -> np.ndarray:
+    # read-only (2, n, 2): entry [bit, k] is the pair (sites[k], digits[bit])
+    return _read_only(np.stack(np.broadcast_arrays(sites, np.array(digits)[:, None]), axis=-1))
 
 
 def _circuit(problem: SearchProblem, stages: Sequence) -> Circuit:
@@ -479,7 +493,7 @@ def _circuit(problem: SearchProblem, stages: Sequence) -> Circuit:
     support; the superposition step touches only the index site, so this
     start is exact. The initial digits are the support's first column.
     """
-    template = problem._shape_template
+    template = _instance(problem, SearchProblem, "problem")._shape_template
     tables = tuple(step for stage in stages for step in stage(problem))
     start = template.start
     if template.wires is not None:
@@ -507,11 +521,11 @@ def execute_circuit(circuit: Circuit) -> StateVector:
     """Run the circuit's steps on its basis state (squared norm 1).
 
     A circuit that :func:`build_circuit` bound to its shape's template runs
-    only its bound tables, from the template's support after the
+    only its two tables, from the template's support after the
     superposition step (see :func:`_circuit`), whose measured squared norm
     starts the running norm.
     """
-    if circuit._resume is None:
+    if _instance(circuit, Circuit, "circuit")._resume is None:
         return apply_gates(_basis_state(circuit.layout, circuit.initial_digits), circuit.steps, 1.0)
     start, tables = circuit._resume
     return apply_gates(start, tables, squared_norm(start.values))
@@ -529,8 +543,8 @@ def apply_comparison_stage(state: StateVector, problem: SearchProblem) -> StateV
     so ``apply_comparison_stage(load_superposition(p), p)`` equals
     ``run(p)`` bit for bit.
     """
-    layout = problem.layout
-    if state.layout != layout:
+    layout = _instance(problem, SearchProblem, "problem").layout
+    if _instance(state, StateVector, "state").layout != layout:
         raise InvalidInputError("state layout does not match the problem's mode")
     return apply_gates(state, _comparison_stage(problem), squared_norm(state.values))
 

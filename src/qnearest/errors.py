@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the one integer,
-sequence, enum-member and type check."""
+sequence, number-array, enum-member and type check."""
 
 import operator
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 
 class SimulatorError(Exception):
@@ -56,6 +58,16 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:  # only a failing sequence is walked, to name its first non-integer
         return tuple(_integer(value, what) for value in values)
+
+
+def _numbers(values, dtype: type) -> np.ndarray:
+    """``values`` as a new array of ``dtype``, or ``TypeError`` or
+    ``ValueError`` if they are ragged or not numbers: strings included,
+    which NumPy's conversion would parse."""
+    array = np.asarray(values)
+    if array.dtype.kind in "SU":
+        raise TypeError("strings are not numbers")
+    return array.astype(dtype)
 
 
 def _member(kind: type[Enum], value, what: str) -> Enum:

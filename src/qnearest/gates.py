@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, _integer
+from .errors import CapacityError, InvalidInputError, _integer, _numbers
 
 GATE_UNITARY_TOLERANCE = 1e-12
 # pauli_x and fourier build a dense d x d matrix, so d^2 may not pass this
@@ -40,8 +40,8 @@ class Gate:
         object.__setattr__(self, "dimension",
                            _integer(self.dimension, f"gate {self.label!r}: dimension"))
         try:
-            mat = np.asarray(self.matrix, dtype=np.complex128)
-        except (TypeError, ValueError) as err:  # a string, or ragged rows
+            mat = _numbers(self.matrix, np.complex128)
+        except (TypeError, ValueError) as err:  # strings, or ragged rows
             raise InvalidInputError(f"gate {self.label!r}: malformed matrix: {err}") from None
         if mat.shape != (self.dimension, self.dimension):
             raise InvalidInputError(
@@ -51,7 +51,6 @@ class Gate:
         defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(self.dimension))))
         if not defect <= GATE_UNITARY_TOLERANCE:  # also true for NaN
             raise InvalidInputError(f"gate {self.label!r} is not unitary (defect {defect:.3e})")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

@@ -104,7 +104,7 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
 
 def decide(dist: IndexDistribution) -> tuple[int, bool]:
     """Argmax index; ties within ``TIE_TOLERANCE`` resolve to the lowest index."""
-    probs = dist.probabilities
+    probs = _instance(dist, IndexDistribution, "distribution").probabilities
     best = max(probs)
     tied = [j for j, p in enumerate(probs) if best - p <= TIE_TOLERANCE]
     return tied[0], len(tied) > 1
@@ -129,7 +129,7 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
     that NumPy's draws reject.
     """
     check_shots(shots)
-    return _sample(dist, shots, seed)
+    return _sample(_instance(dist, IndexDistribution, "distribution"), shots, seed)
 
 
 def _sample(dist: IndexDistribution, shots: int, seed: int) -> ShotCounts:

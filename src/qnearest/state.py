@@ -30,7 +30,7 @@ them four ways:
   keyed by one control site's digit, each flip optionally also controlled
   on a wire site reading 1 (the copy stage of every search; built as a
   table by the builder, not detected in the gate stream), executed as one
-  XOR of the flipped sites' digit rows;
+  XOR of each stored entry's digits with the parity row its control reads;
 - multiplexed rotation: a :class:`MultiplexedRotation`, a table of
   controlled X rotations of one qubit, each row optionally also controlled
   on a wire (the comparison stage of every search, likewise built by the
@@ -56,16 +56,13 @@ computed once after the superposition step; the gate paths (permutation
 and fibre run) serve only that one superposition step per shape,
 :func:`apply_controlled` and hand-built circuits.
 
-A flip table works out at construction what its check and the kernel read
-off it (its flipped sites and their submatrix); a rotation table converts
-its controls and wires to int pairs at construction and builds the int64
-arrays the kernel reads on first read, after its check has range-checked
-them. A table bound from those arrays by a shape's template (``_bound``)
-checks only their values, and derives its parity or its control pairs
-from them on first read, for ``check`` and ``expanded``; a bound flip
-table shares its template's wire table. Each
-:class:`RegisterLayout` holds its strides as an int64 array, built on
-first read; the builder shares one layout per problem shape.
+Each table has one form: its fields are the read-only arrays its kernel
+reads, built by its one constructor, which checks the values (0/1 flips,
+finite angles, one angle per row). Its ``check`` tests every entry's sites
+against a layout at once, as arrays, and lists only the first entry that
+fails as its gate, for the message. Each :class:`RegisterLayout` holds its
+strides as an int64 array, built on first read; the builder shares one
+layout per problem shape.
 
 It norm-checks every gate and every table (a flip table moves no
 amplitude) against a running squared norm, at ``NORM_TOLERANCE`` and
@@ -81,7 +78,7 @@ works out once whether its matrix is a permutation matrix
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -90,7 +87,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, NormDriftError
-from .errors import _instance, _integer, _integers, _member, _sequence
+from .errors import _instance, _integer, _integers, _member, _numbers, _sequence
 from .gates import MAX_MATRIX_ENTRIES, Gate, pauli_x, rx
 
 NORM_TOLERANCE = 1e-10
@@ -240,7 +237,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _bind(cls: type, **fields):
     """A ``cls`` holding ``fields``, made without its ``__post_init__``: for
-    values whose checks their caller has made (a shape template's steps)."""
+    values whose checks their caller has made (a circuit bound to its shape's
+    template, a distribution built from a checked array)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -384,8 +382,9 @@ class MultiplexedFlip:
     On the branch where site ``control`` reads c, every site t with
     ``parity[c, t] == 1`` flips. It stands for the single-control X gates
     ``((control, c),) -> t``, one per 1 in ``parity``, which commute, since
-    none targets the control site. ``parity`` is stored as a read-only copy
-    of shape ``(dims[control], number of sites)``; a circuit checks it
+    none targets the control site. ``parity`` is stored as a read-only
+    uint8 copy of shape ``(dims[control], number of sites)``, and an entry
+    other than 0 or 1 fails construction; a circuit checks the table
     against its layout with :meth:`check`.
 
     ``wires``, when given, is an integer table of ``parity``'s shape that
@@ -394,68 +393,29 @@ class MultiplexedFlip:
     ``((control, c), (wires[c, t], 1)) -> t`` (full mode's copy stage, one
     Toffoli-style flip per set array bit). An entry where ``parity`` is 0
     is not read, and holds a site or -1. It is stored as a read-only copy.
-
-    What the check and the kernel read off ``parity`` is derived once,
-    here, read-only: ``targets``, the int64 sites with a nonzero entry, and
-    ``flips``, the boolean ``(rows, targets)`` submatrix of ``parity != 0``.
-    A table bound from those two arrays (:meth:`_bound`) derives ``parity``
-    from them instead, on first read.
     """
 
     control: int
     parity: np.ndarray
     wires: np.ndarray | None = None
-    targets: np.ndarray = field(init=False, repr=False)
-    flips: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
-            parity = _read_only(np.array(self.parity))
+            parity = np.array(self.parity)
             wires = None if self.wires is None else _read_only(np.array(self.wires))
         except (TypeError, ValueError) as err:  # ragged rows
             raise InvalidInputError(f"multiplexed flip: malformed table: {err}") from None
-        # a table of any other rank fails the shape check and never runs
-        nonzero = parity != 0 if parity.ndim == 2 else np.zeros((0, 0), dtype=bool)
-        targets = np.flatnonzero(nonzero.any(axis=0))
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "targets", _read_only(targets))
-        object.__setattr__(self, "flips", _read_only(nonzero[:, targets]))
-
-    @classmethod
-    def _bound(cls, control: int, shape: tuple[int, int], targets: np.ndarray,
-               rows: np.ndarray, wires: np.ndarray | None = None) -> MultiplexedFlip:
-        """The table of ``shape`` that flips ``targets`` where ``rows[c]``
-        reads 1, on control digits ``c < len(rows)``, and nothing above,
-        each flip (c, t) also on wire ``wires[c, t]`` when a read-only wire
-        table of ``shape`` is given.
-
-        Its structure (sites and shape) is the caller's to have checked, as
-        a shape template has; only the entries of ``rows``, an unsigned
-        integer array, are checked, that each is 0 or 1.
-        """
-        if rows.max(initial=0) > 1:
+        if not ((parity == 0) | (parity == 1)).all():
             raise InvalidInputError("multiplexed flip: parity table entries must be 0 or 1")
-        flips = np.zeros((shape[0], targets.size), dtype=bool)
-        flips[: len(rows)] = rows
-        return _bind(cls, control=control, targets=_read_only(targets), flips=_read_only(flips),
-                     wires=wires, _shape=shape)
-
-    def __getattr__(self, name: str):
-        # only a bound table lacks its parity: built from its arrays on first read
-        if name != "parity":
-            raise AttributeError(name)
-        parity = np.zeros(self._shape, dtype=np.uint8)
-        parity[:, self.targets] = self.flips
-        object.__setattr__(self, "parity", _read_only(parity))
-        return parity
+        object.__setattr__(self, "parity", _read_only(parity.astype(np.uint8, copy=False)))
+        object.__setattr__(self, "wires", wires)
 
     def check(self, dims: Sequence[int]) -> None:
         """Reject a table whose gates :func:`check_gate_sites` would reject.
 
         The control site must be a known site, the table must have one row
-        per control digit and one 0/1 column per site, every flipped site
-        must be a qubit, and each flip's controls must pass
+        per control digit and one column per site, every flipped site must
+        be a qubit, and each flip's controls must pass
         :func:`check_gate_sites` with it. A wire table must have the parity
         table's shape and hold sites or -1, and no flip's wire may be a
         flipped site, whose digit the table changes.
@@ -469,29 +429,35 @@ class MultiplexedFlip:
                 raise InvalidInputError(
                     f"parity table has shape {parity.shape}, expected {(dims[control], nsites)}"
                 )
-            if not ((parity == 0) | (parity == 1)).all():
-                raise InvalidInputError("parity table entries must be 0 or 1")
             if wires is not None and (wires.shape != parity.shape or wires.dtype.kind not in "iu"
                                       or ((wires < -1) | (wires >= nsites)).any()):
                 raise InvalidInputError(f"wire table must hold sites or -1, of shape {parity.shape}")
-            flipped = set(self.targets.tolist())
-            for gate in self.expanded():
-                (_, *wire), target = gate.controls, gate.target
-                check_gate_sites(dims, gate.controls, target)
-                if dims[target] != 2:
-                    raise InvalidInputError(f"target site {target} has dimension {dims[target]}, not 2")
-                if wire and wire[0][0] in flipped:
-                    raise InvalidInputError(f"wire site {wire[0][0]} is also flipped")
+            rows, targets = np.nonzero(parity)
+            bad = (targets == control) | (np.asarray(dims)[targets] != 2)
+            if wires is not None:
+                wire = wires[rows, targets]
+                bad |= (wire < 0) | (wire == targets) | (wire == control)
+                bad |= parity.any(axis=0)[wire]  # a wire on a flipped site
+            if bad.any():  # the first failing flip, as its gate
+                (gate,) = self._gates(rows[bad][:1], targets[bad][:1])
+                check_gate_sites(dims, gate.controls, gate.target)
+                if dims[gate.target] != 2:
+                    raise InvalidInputError(
+                        f"target site {gate.target} has dimension {dims[gate.target]}, not 2")
+                raise InvalidInputError(f"wire site {gate.controls[1][0]} is also flipped")
         except InvalidInputError as err:
             raise InvalidInputError(f"multiplexed flip: {err}") from None
 
     def expanded(self) -> tuple[CircuitGate, ...]:
         """The table's X gates, control digit by control digit, targets in
         site order, each controlled on ``(control, c)``, then on its wire."""
-        flip, (rows, targets) = pauli_x(2), np.nonzero(self.parity)
+        return self._gates(*np.nonzero(self.parity))
+
+    def _gates(self, rows: np.ndarray, targets: np.ndarray) -> tuple[CircuitGate, ...]:
+        # the X gates of the entries (rows[i], targets[i])
         wires = ([((site, 1),) for site in self.wires[rows, targets].tolist()]
                  if self.wires is not None else [()] * len(rows))
-        return tuple(CircuitGate(flip, ((self.control, c),) + wire, t)
+        return tuple(CircuitGate(pauli_x(2), ((self.control, c),) + wire, t)
                      for c, t, wire in zip(rows.tolist(), targets.tolist(), wires))
 
 
@@ -500,97 +466,52 @@ class MultiplexedRotation:
     """X rotations of one qubit, one per ``(site, digit)`` control, run as one step.
 
     Row r turns qubit ``target`` by ``angles[r]`` about X wherever site
-    ``controls[r][0]`` reads ``controls[r][1]``. It stands for the gates
+    ``controls[r, 0]`` reads ``controls[r, 1]``. It stands for the gates
     ``rx(angles[r])`` on ``((site, digit),) -> target``, row by row. They
     commute, since all are X rotations of one qubit and no control sits on
-    it, so on each branch their angles add. ``angles`` is stored as a
-    read-only float copy; a circuit checks the table against its layout
-    with :meth:`check`.
+    it, so on each branch their angles add.
 
     ``wires``, when given, holds one more ``(site, digit)`` control per
     row: row r then fires only where ``wires[r]`` matches too, and stands
     for the gate on ``(wires[r], controls[r]) -> target`` (full mode's
     comparison stage, each row also read on its reference wire).
 
-    Every control and wire must be a pair of integers, or construction
-    raises :class:`InvalidInputError`; both are stored as tuples of int
-    pairs. Their ranges are checked by :meth:`check`, so the read-only
-    int64 arrays the kernel reads, :attr:`sites`, :attr:`digits`,
-    :attr:`wire_sites` and :attr:`wire_digits`, are built on first read,
-    after a circuit has checked the table. A table bound from those arrays
-    (:meth:`_bound`) derives ``controls`` from them instead, on first read.
+    ``controls`` and ``wires`` are stored as read-only ``(rows, 2)`` int64
+    arrays, and ``angles`` as a read-only float copy. Construction raises
+    :class:`InvalidInputError` for a control or wire that is not a pair of
+    integers within int64, an angle that is not a finite number, and a
+    table without one angle (and one wire, if any) per row; a circuit
+    checks the table against its layout with :meth:`check`.
     """
 
     target: int
-    controls: tuple[tuple[int, int], ...]
+    controls: np.ndarray
     angles: np.ndarray
-    wires: tuple[tuple[int, int], ...] | None = None
+    wires: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "controls", _int_pairs(self.controls))
-            wires = None if self.wires is None else _int_pairs(self.wires)
-            object.__setattr__(self, "wires", wires)
-            angles = np.array(self.angles, dtype=np.float64)
+            controls = _pairs(self.controls)
+            wires = None if self.wires is None else _pairs(self.wires)
+            angles = _numbers(self.angles, np.float64)
         except (TypeError, ValueError) as err:
             raise InvalidInputError(f"malformed rotation table: {err}") from None
-        object.__setattr__(self, "angles", _read_only(angles))
-
-    @classmethod
-    def _bound(cls, target: int, sites: np.ndarray, digits: np.ndarray, angles: np.ndarray,
-               wires: tuple[np.ndarray, np.ndarray] | None = None) -> MultiplexedRotation:
-        """The table whose row r turns ``target`` by ``angles[r]`` where
-        qubit ``sites[r]`` reads ``digits[r]`` (and, given ``wires``, qubit
-        ``wires[0][r]`` reads ``wires[1][r]``).
-
-        Its structure (the target and each row's sites) is the caller's to
-        have checked, as a shape template has; only the values are checked:
-        each digit, of an unsigned integer array, is a qubit's, 0 or 1, and
-        each angle is finite.
-        """
-        if digits.max(initial=0) > 1 or wires is not None and wires[1].max(initial=0) > 1:
-            raise InvalidInputError("multiplexed rotation: control digits must be 0 or 1")
+        if angles.shape != (len(controls),):
+            raise InvalidInputError(f"multiplexed rotation: angles have shape {angles.shape}, "
+                                    f"expected {(len(controls),)}")
         if not np.isfinite(angles).all():
             raise InvalidInputError("multiplexed rotation: angles must be finite")
-        wire_sites, wire_digits = (None, None) if wires is None else map(_int64, wires)
-        pairs = None if wires is None else tuple(zip(wire_sites.tolist(), wire_digits.tolist()))
-        return _bind(cls, target=target, sites=_read_only(sites), digits=_int64(digits),
-                     angles=_read_only(angles), wires=pairs, wire_sites=wire_sites,
-                     wire_digits=wire_digits)
-
-    def __getattr__(self, name: str):
-        # only a bound table lacks its pairs: built from its arrays on first read
-        if name != "controls":
-            raise AttributeError(name)
-        controls = tuple(zip(self.sites.tolist(), self.digits.tolist()))
+        if wires is not None and len(wires) != len(controls):
+            raise InvalidInputError(
+                f"multiplexed rotation: one wire per row expected, got {len(wires)}")
         object.__setattr__(self, "controls", controls)
-        return controls
-
-    @cached_property
-    def sites(self) -> np.ndarray:
-        """Each row's control site, as a read-only int64 array."""
-        return _int64([site for site, _ in self.controls])
-
-    @cached_property
-    def digits(self) -> np.ndarray:
-        """Each row's control digit, as a read-only int64 array."""
-        return _int64([digit for _, digit in self.controls])
-
-    @cached_property
-    def wire_sites(self) -> np.ndarray | None:
-        """Each row's wire site, as a read-only int64 array (None without wires)."""
-        return None if self.wires is None else _int64([site for site, _ in self.wires])
-
-    @cached_property
-    def wire_digits(self) -> np.ndarray | None:
-        """Each row's wire digit, as a read-only int64 array (None without wires)."""
-        return None if self.wires is None else _int64([digit for _, digit in self.wires])
+        object.__setattr__(self, "angles", _read_only(angles))
+        object.__setattr__(self, "wires", wires)
 
     def check(self, dims: Sequence[int]) -> None:
         """Reject a table whose gates would fail as circuit gates.
 
-        The target must be a qubit, every angle finite, with one angle (and
-        one wire, if any) per control, and each row's controls must pass
+        The target must be a qubit, and each row's controls must pass
         :func:`check_gate_sites` with the target: known sites other than
         the target and each other, read at digits in range.
         """
@@ -600,37 +521,50 @@ class MultiplexedRotation:
                 raise InvalidInputError(
                     f"rotation target site {self.target} has dimension {dims[self.target]}, not 2"
                 )
-            if self.angles.shape != (len(self.controls),):
-                raise InvalidInputError(
-                    f"angles have shape {self.angles.shape}, expected {(len(self.controls),)}"
-                )
-            if not np.isfinite(self.angles).all():
-                raise InvalidInputError("angles must be finite")
-            if self.wires is not None and len(self.wires) != len(self.controls):
-                raise InvalidInputError(f"one wire per row expected, got {len(self.wires)}")
-            for gate in self.expanded():
-                check_gate_sites(dims, gate.controls, self.target)
+            # (rows, controls per gate, 2), in each gate's control order
+            pairs = (self.controls[:, None] if self.wires is None
+                     else np.stack((self.wires, self.controls), axis=1))
+            sites, digits = pairs[..., 0], pairs[..., 1]
+            known = (sites >= 0) & (sites < len(dims))
+            fits = known & (digits >= 0) & (digits < np.asarray(dims)[np.where(known, sites, 0)])
+            bad = ~fits.all(axis=1) | (sites == self.target).any(axis=1)
+            if self.wires is not None:
+                bad |= sites[:, 0] == sites[:, 1]
+            if bad.any():  # the first failing row, as its gate's controls
+                check_gate_sites(dims, pairs[bad][0].tolist(), self.target)
         except InvalidInputError as err:
             raise InvalidInputError(f"multiplexed rotation: {err}") from None
 
     def expanded(self) -> tuple[CircuitGate, ...]:
         """One ``rx`` gate per row, in row order, controlled on its wire
         (if any), then on its control."""
-        wires = [()] * len(self.controls) if self.wires is None else [(w,) for w in self.wires]
-        return tuple(CircuitGate(rx(angle), wire + (control,), self.target)
-                     for wire, control, angle in zip(wires, self.controls, self.angles.tolist()))
+        controls = [(tuple(pair),) for pair in self.controls.tolist()]
+        wires = [()] * len(controls) if self.wires is None else [
+            (tuple(pair),) for pair in self.wires.tolist()]
+        return tuple(CircuitGate(rx(angle), wire + control, self.target)
+                     for wire, control, angle in zip(wires, controls, self.angles.tolist()))
 
 
-def _int_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    """``(site, digit)`` pairs as int pairs; a pair that is not one raises
-    ``TypeError`` or ``ValueError``, a non-integer :class:`InvalidInputError`."""
+def _pairs(pairs) -> np.ndarray:
+    """``(site, digit)`` pairs as a read-only ``(rows, 2)`` int64 array.
+
+    An integer array of that shape is copied as it is. Anything else is
+    walked pair by pair: a pair that is not one raises ``TypeError`` or
+    ``ValueError``, and a value that is not an integer, or is past int64
+    and so out of every layout's range, :class:`InvalidInputError`.
+    """
+    if (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"
+            and pairs.shape[1:] == (2,) and np.can_cast(pairs.dtype, np.int64)):
+        return _read_only(pairs.astype(np.int64))
     pairs = [(site, digit) for site, digit in pairs]
     sites, digits = zip(*pairs) if pairs else ((), ())
-    return tuple(zip(_integers(sites, "control site"), _integers(digits, "control digit")))
-
-
-def _int64(values) -> np.ndarray:
-    return _read_only(np.asarray(values, dtype=np.int64))
+    pairs = tuple(zip(_integers(sites, "control site"), _integers(digits, "control digit")))
+    for site, digit in pairs:
+        if site.bit_length() > 63:
+            raise InvalidInputError(f"unknown control site {site}")
+        if digit.bit_length() > 63:
+            raise InvalidInputError(f"control digit {digit} out of range for site {site}")
+    return _read_only(np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def _selected(digits: np.ndarray, controls) -> np.ndarray | slice:
@@ -731,9 +665,10 @@ def _multiplexed_rotation(digits, values, layout, rotation: MultiplexedRotation,
     target = rotation.target
     keys, fibres = _fibres(digits, values, target, 2, layout.strides_array)
     # (columns, rows) in C order: the matmul's float sums depend on its layout
-    selected = np.equal(keys.take(rotation.sites, axis=0).T, rotation.digits, order="C")
-    if rotation.wire_sites is not None:
-        selected &= keys.take(rotation.wire_sites, axis=0).T == rotation.wire_digits
+    controls, wires = rotation.controls, rotation.wires
+    selected = np.equal(keys.take(controls[:, 0], axis=0).T, controls[:, 1], order="C")
+    if wires is not None:
+        selected &= keys.take(wires[:, 0], axis=0).T == wires[:, 1]
     half = selected @ rotation.angles / 2
     turned = np.cos(half) * fibres + -1j * np.sin(half) * fibres[::-1]
     norm += squared_norm(turned) - squared_norm(values)
@@ -759,12 +694,11 @@ def apply_gates(
     Each gate touches only the stored entries whose digits match all its
     controls. Steps run in one of four ways:
 
-    - multiplexed flip: a :class:`MultiplexedFlip` flips the digit rows of
-      its flipped sites in one XOR, each column by the row of ``flips`` its
-      control digit reads, masked, for a table with wires, by each flip's
-      wire reading 1. The builder emits the whole copy stage as one;
-      controlled X gates in the stream are not fused, and run as
-      permutations;
+    - multiplexed flip: a :class:`MultiplexedFlip` XORs each column's digits
+      with the row of ``parity`` its control digit reads, in one step,
+      masked, for a table with wires, by each flip's wire reading 1. The
+      builder emits the whole copy stage as one; controlled X gates in the
+      stream are not fused, and run as permutations;
     - multiplexed rotation: a :class:`MultiplexedRotation` groups the
       support once into ``(2, columns)`` fibres on its target and turns
       each column once, by the summed angle of the rows its key selects
@@ -814,12 +748,11 @@ def apply_gates(
         if kind is MultiplexedFlip:
             for flip in run:
                 branch = digits[flip.control]
-                fire = flip.flips[branch].T
+                fire = flip.parity[branch].T
                 if flip.wires is not None:
                     # an entry that does not fire may read any row, -1 the last
-                    wire = flip.wires.take(flip.targets, axis=1)[branch].T
-                    fire &= digits[wire, np.arange(branch.size)] == 1
-                digits[flip.targets] ^= fire
+                    fire &= digits[flip.wires[branch].T, np.arange(branch.size)] == 1
+                digits ^= fire
                 _check_norm(norm)
         elif kind is MultiplexedRotation:
             for rotation in run:

@@ -39,7 +39,7 @@ from qnearest import (
 )
 from qnearest.builder import _layout
 from qnearest.errors import CapacityError, InvalidInputError
-from qnearest.state import MAX_AMPLITUDES
+from qnearest.state import MAX_AMPLITUDES, check_gate_sites
 
 # frozen by hand from the closed forms; the simulator must match to 1e-12
 PAPER_INSTANCE = dict(n=3, a=(2, 6), b=5)
@@ -493,23 +493,24 @@ def test_circuit_accepts_a_well_formed_flip_table():
 
 
 @pytest.mark.parametrize(
-    "flip, message",
+    "build, message",
     [
-        (_flip_table(4, 3, [(0, 0)]), "unknown control site 4"),
-        (_flip_table(3, 2, [(1, 0), (1, 3)]), "site 3 used more than once"),
-        (_flip_table(3, 2, [(1, 2)]), "target site 2 has dimension 3"),
-        (_flip_table(2, 3, [(1, 0)], value=2), "entries must be 0 or 1"),
-        (_flip_table(2, 2, [(1, 0)]), r"shape \(2, 4\), expected \(3, 4\)"),
-        (MultiplexedFlip(2, np.zeros((3, 3), dtype=np.int64)), r"expected \(3, 4\)"),
-        (_wired_flip_table(1), "wire site 1 is also flipped"),
-        (_wired_flip_table(2), "site 2 used more than once"),
-        (_wired_flip_table(0), "site 0 used more than once"),
-        (_wired_flip_table(-1), "unknown control site -1"),
-        (MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 3), 3)),
+        (lambda: _flip_table(4, 3, [(0, 0)]), "unknown control site 4"),
+        (lambda: _flip_table(3, 2, [(1, 0), (1, 3)]), "site 3 used more than once"),
+        (lambda: _flip_table(3, 2, [(1, 2)]), "target site 2 has dimension 3"),
+        (lambda: _flip_table(2, 3, [(1, 0)], value=2), "entries must be 0 or 1"),
+        (lambda: _flip_table(2, 2, [(1, 0)]), r"shape \(2, 4\), expected \(3, 4\)"),
+        (lambda: MultiplexedFlip(2, np.zeros((3, 3), dtype=np.int64)), r"expected \(3, 4\)"),
+        (lambda: _wired_flip_table(1), "wire site 1 is also flipped"),
+        (lambda: _wired_flip_table(2), "site 2 used more than once"),
+        (lambda: _wired_flip_table(0), "site 0 used more than once"),
+        (lambda: _wired_flip_table(-1), "unknown control site -1"),
+        (lambda: MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 3), 3)),
          r"wire table must hold sites or -1, of shape \(3, 4\)"),
-        (MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 4), 4)),
+        (lambda: MultiplexedFlip(2, _flip_table(2, 3, [(0, 0)]).parity, np.full((3, 4), 4)),
          r"wire table must hold sites or -1"),
-        (MultiplexedFlip(2, _wired_flip_table(3).parity, _wired_flip_table(3).wires * 1.0),
+        (lambda: MultiplexedFlip(2, _wired_flip_table(3).parity,
+                                 _wired_flip_table(3).wires * 1.0),
          r"wire table must hold sites or -1"),
     ],
     ids=["control-out-of-range", "target-on-control", "non-qubit-target", "entry-not-0-or-1",
@@ -517,11 +518,12 @@ def test_circuit_accepts_a_well_formed_flip_table():
          "wire-on-the-target", "wire-missing", "wire-table-shape", "wire-past-the-sites",
          "wire-table-floats"],
 )
-def test_circuit_rejects_a_malformed_flip_table(flip, message):
-    # the kernel trusts a table as it trusts a gate's sites, so building fails
+def test_circuit_rejects_a_malformed_flip_table(build, message):
+    # the kernel trusts a table as it trusts a gate's sites, so building
+    # fails: the table's construction for a bad entry, else the circuit's
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     with pytest.raises(InvalidInputError, match=f"multiplexed flip: .*{message}"):
-        Circuit(layout, (0,) * 4, (flip,))
+        Circuit(layout, (0,) * 4, (build(),))
 
 
 def test_a_flip_table_is_a_read_only_copy():
@@ -532,17 +534,77 @@ def test_a_flip_table_is_a_read_only_copy():
     assert not flip.parity.flags.writeable
 
 
+def _walk_message(table, dims) -> str | None:
+    """What checking ``table`` gate by gate says: None if every gate of its
+    ``expanded()`` passes ``check_gate_sites`` on a qubit target and, in a
+    flip table, reads no flipped site as its wire, else the message of the
+    first that does not. A flip table's shape and wire table must pass."""
+    flip = type(table) is MultiplexedFlip
+    gates = table.expanded()
+    flipped = {gate.target for gate in gates}
+    try:
+        if not flip:
+            check_gate_sites(dims, (), table.target)
+            if dims[table.target] != 2:
+                raise InvalidInputError(f"rotation target site {table.target} has dimension "
+                                        f"{dims[table.target]}, not 2")
+        for gate in gates:
+            check_gate_sites(dims, gate.controls, gate.target)
+            if dims[gate.target] != 2:
+                raise InvalidInputError(
+                    f"target site {gate.target} has dimension {dims[gate.target]}, not 2")
+            if flip and gate.controls[1:] and gate.controls[1][0] in flipped:
+                raise InvalidInputError(f"wire site {gate.controls[1][0]} is also flipped")
+    except InvalidInputError as err:
+        return f"multiplexed {'flip' if flip else 'rotation'}: {err}"
+    return None
+
+
+def assert_check_is_the_gate_walk(table, dims):
+    expected = _walk_message(table, dims)
+    try:
+        table.check(dims)
+    except InvalidInputError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+
+
+@given(data=st.data())
+def test_the_flip_check_is_the_gate_walk(data):
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5)))
+    control = data.draw(st.integers(0, len(dims) - 1))
+    size = dims[control] * len(dims)
+    parity = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    wires = data.draw(st.none() | st.lists(st.integers(-1, len(dims) - 1), min_size=size,
+                                           max_size=size))
+    shape = (dims[control], len(dims))
+    table = MultiplexedFlip(control, np.reshape(parity, shape),
+                            None if wires is None else np.reshape(wires, shape))
+    assert_check_is_the_gate_walk(table, dims)
+
+
+@given(data=st.data())
+def test_the_rotation_check_is_the_gate_walk(data):
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5)))
+    target, rows = data.draw(st.integers(0, len(dims) - 1)), data.draw(st.integers(0, 4))
+    pairs = st.lists(st.tuples(st.integers(-1, len(dims)), st.integers(-1, 4)),
+                     min_size=rows, max_size=rows)
+    controls, wires = data.draw(pairs), data.draw(st.none() | pairs)
+    assert_check_is_the_gate_walk(MultiplexedRotation(target, controls, [0.1] * rows, wires), dims)
+
+
 @pytest.mark.parametrize("random_table", range(20))
 def test_a_flip_table_derives_its_targets_and_submatrix_once(random_table):
-    # read-only, and equal to what parity itself gives
+    # the check derives every entry's sites from the arrays in one pass, and
+    # rejects a random table (some flip the control, a qutrit or a wire's
+    # site) exactly as the gate-by-gate walk does, with its message
     rng = np.random.default_rng(random_table)
-    rows, sites = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-    parity = (rng.random((rows, sites)) < rng.random()).astype(np.int64)
-    flip = MultiplexedFlip(0, parity)
-    targets = np.flatnonzero(parity.any(axis=0))
-    assert np.array_equal(flip.targets, targets)
-    assert np.array_equal(flip.flips, parity[:, targets] == 1)
-    assert not flip.targets.flags.writeable and not flip.flips.flags.writeable
+    dims = tuple(rng.integers(2, 4, size=int(rng.integers(2, 7))).tolist())
+    control = int(rng.integers(len(dims)))
+    parity = (rng.random((dims[control], len(dims))) < rng.random()).astype(np.int64)
+    wires = rng.integers(-1, len(dims), size=parity.shape) if rng.random() < 0.5 else None
+    assert_check_is_the_gate_walk(MultiplexedFlip(control, parity, wires), dims)
 
 
 def test_a_circuit_gate_with_a_fractional_control_digit_is_rejected():
@@ -591,18 +653,22 @@ def test_a_rotation_table_with_a_non_int64_control_fails_construction(controls, 
 
 def test_a_rotation_table_keeps_int64_arrays_of_its_rows():
     table = MultiplexedRotation(3, ((np.int64(0), np.uint8(1)), (2, 2)), [0.5, 0.25])
-    assert table.controls == ((0, 1), (2, 2))
-    assert all(type(v) is int for row in table.controls for v in row)
-    for array, expected in ((table.sites, [0, 2]), (table.digits, [1, 2])):
+    assert table.controls.tolist() == [[0, 1], [2, 2]]
+    for array, expected in ((table.controls[:, 0], [0, 2]), (table.controls[:, 1], [1, 2])):
         assert array.dtype == np.int64 and array.tolist() == expected
         assert not array.flags.writeable
+    rows = np.array([[0, 1], [2, 2]], dtype=np.uint8)
+    from_array = MultiplexedRotation(3, rows, [0.5, 0.25])
+    rows[0, 0] = 1
+    assert from_array.controls.tolist() == [[0, 1], [2, 2]]
+    assert from_array.controls.dtype == np.int64 and not from_array.controls.flags.writeable
 
 
 def test_circuit_accepts_a_well_formed_wired_rotation_table():
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     table = MultiplexedRotation(3, ((0, 1), (1, 0)), [0.5, -0.25], [(2, 2), (np.int64(0), 1)])
-    assert table.wires == ((2, 2), (0, 1))
-    assert table.wire_sites.tolist() == [2, 0] and table.wire_digits.tolist() == [2, 1]
+    assert table.wires.tolist() == [[2, 2], [0, 1]]
+    assert table.wires[:, 0].tolist() == [2, 0] and table.wires[:, 1].tolist() == [2, 1]
     assert Circuit(layout, (0,) * 4, (table,)).gates == (
         CircuitGate(rx(0.5), ((2, 2), (0, 1)), 3),
         CircuitGate(rx(-0.25), ((0, 1), (1, 0)), 3),
@@ -621,24 +687,31 @@ def test_circuit_accepts_a_well_formed_rotation_table():
 
 
 @pytest.mark.parametrize(
-    "table, message",
+    "build, message",
     [
-        (MultiplexedRotation(3, ((0, 1), (3, 0)), [0.1, 0.2]), "site 3 used more than once"),
-        (MultiplexedRotation(2, ((0, 1),), [0.1]), "target site 2 has dimension 3"),
-        (MultiplexedRotation(3, ((2, 3),), [0.1]), "control digit 3 out of range for site 2"),
-        (MultiplexedRotation(3, ((4, 0),), [0.1]), "unknown control site 4"),
-        (MultiplexedRotation(4, ((0, 1),), [0.1]), "unknown target site 4"),
-        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, math.inf]), "angles must be finite"),
-        (MultiplexedRotation(3, ((0, 1),), [math.nan]), "angles must be finite"),
-        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1]), r"shape \(1,\), expected \(2,\)"),
-        (MultiplexedRotation(3, ((0, 1),), [[0.1]]), r"shape \(1, 1\), expected \(1,\)"),
-        (MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, 0.2], ((2, 0),)),
-         "one wire per row expected, got 1"),
-        (MultiplexedRotation(3, ((0, 1),), [0.1], ((0, 0),)), "site 0 used more than once"),
-        (MultiplexedRotation(3, ((0, 1),), [0.1], ((3, 0),)), "site 3 used more than once"),
-        (MultiplexedRotation(3, ((0, 1),), [0.1], ((2, 3),)),
+        (lambda: MultiplexedRotation(3, ((0, 1), (3, 0)), [0.1, 0.2]),
+         "site 3 used more than once"),
+        (lambda: MultiplexedRotation(2, ((0, 1),), [0.1]), "target site 2 has dimension 3"),
+        (lambda: MultiplexedRotation(3, ((2, 3),), [0.1]),
          "control digit 3 out of range for site 2"),
-        (MultiplexedRotation(3, ((0, 1),), [0.1], ((4, 0),)), "unknown control site 4"),
+        (lambda: MultiplexedRotation(3, ((4, 0),), [0.1]), "unknown control site 4"),
+        (lambda: MultiplexedRotation(4, ((0, 1),), [0.1]), "unknown target site 4"),
+        (lambda: MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, math.inf]),
+         "angles must be finite"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [math.nan]), "angles must be finite"),
+        (lambda: MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1]),
+         r"shape \(1,\), expected \(2,\)"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [[0.1]]),
+         r"shape \(1, 1\), expected \(1,\)"),
+        (lambda: MultiplexedRotation(3, ((0, 1), (1, 1)), [0.1, 0.2], ((2, 0),)),
+         "one wire per row expected, got 1"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [0.1], ((0, 0),)),
+         "site 0 used more than once"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [0.1], ((3, 0),)),
+         "site 3 used more than once"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [0.1], ((2, 3),)),
+         "control digit 3 out of range for site 2"),
+        (lambda: MultiplexedRotation(3, ((0, 1),), [0.1], ((4, 0),)), "unknown control site 4"),
     ],
     ids=["target-among-controls", "non-qubit-target", "digit-out-of-range",
          "unknown-control-site", "unknown-target-site", "infinite-angle", "nan-angle",
@@ -646,11 +719,12 @@ def test_circuit_accepts_a_well_formed_rotation_table():
          "wire-on-the-row-control", "wire-on-the-target", "wire-digit-out-of-range",
          "unknown-wire-site"],
 )
-def test_circuit_rejects_a_malformed_rotation_table(table, message):
-    # the kernel trusts a table as it trusts a gate's sites, so building fails
+def test_circuit_rejects_a_malformed_rotation_table(build, message):
+    # the kernel trusts a table as it trusts a gate's sites, so building
+    # fails: the table's construction for bad values, else the circuit's
     layout = build_layout(SearchProblem(2, (1, 2, 3), 0))
     with pytest.raises(InvalidInputError, match=f"multiplexed rotation: .*{message}"):
-        Circuit(layout, (0,) * 4, (table,))
+        Circuit(layout, (0,) * 4, (build(),))
 
 
 def test_a_rotation_table_is_a_read_only_copy():
@@ -659,7 +733,7 @@ def test_a_rotation_table_is_a_read_only_copy():
     angles[0] = 0.0
     assert table.angles.tolist() == [0.5, 0.25]
     assert not table.angles.flags.writeable
-    assert table.controls == ((0, 1), (1, 0))
+    assert table.controls.tolist() == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("mode", list(Mode))

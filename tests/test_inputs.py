@@ -21,13 +21,18 @@ from qnearest import (
     SearchProblem,
     Site,
     agreement_sweep,
+    apply_comparison_stage,
     apply_controlled,
+    build_circuit,
     classical_nearest,
     closed_form_generalized,
     closed_form_paper,
+    decide,
+    execute_circuit,
     fourier,
     index_distribution,
     init_basis_state,
+    load_superposition,
     marginal_probabilities,
     pauli_x,
     rotation_schedule,
@@ -143,6 +148,20 @@ MALFORMED = {
     "circuit-gate-not-a-gate": lambda: Circuit(_qubits(), (0, 0), (CircuitGate(5, (), 0),)),
     "request-mode": lambda: SearchRequest(3, 5, (2, 6), "bogus"),
     "request-mode-not-a-string": lambda: SearchRequest(3, 5, (2, 6), 5),
+    "rotation-table-angle-numeric-string": lambda: MultiplexedRotation(3, ((0, 1),), ["0.1"]),
+    "gate-matrix-numeric-string": lambda: Gate(2, [["1", "0"], ["0", "1"]], "g"),
+    "apply-matrix-numeric-string": lambda: apply_controlled(
+        init_basis_state(_qubits(), (0, 0)), (), 0, [["1", "0"], ["0", "1"]]),
+    "run-problem-not-a-problem": lambda: run(5),
+    "build-circuit-problem-not-a-problem": lambda: build_circuit(5),
+    "execute-circuit-not-a-circuit": lambda: execute_circuit(5),
+    "load-superposition-problem-not-a-problem": lambda: load_superposition(5),
+    "comparison-state-not-a-state": lambda: apply_comparison_stage(
+        5, SearchProblem(3, (2, 6), 5)),
+    "comparison-problem-not-a-problem": lambda: apply_comparison_stage(
+        run(SearchProblem(3, (2, 6), 5)), 5),
+    "decide-distribution-not-a-distribution": lambda: decide(5),
+    "sample-distribution-not-a-distribution": lambda: sample(5, 1),
 }
 
 

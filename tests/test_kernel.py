@@ -402,13 +402,13 @@ def test_a_rotation_table_on_wires_turns_a_dense_state_as_its_gates_do(data):
     layout = make_layout(*dims)
     table = _rotation_table(data.draw, dims)
     wires = []
-    for site, _ in table.controls:
+    for site, _ in table.controls.tolist():
         others = [s for s in range(len(dims)) if s not in (table.target, site)]
         wire = data.draw(st.sampled_from(others))
         wires.append((wire, data.draw(st.integers(0, dims[wire] - 1))))
     table = MultiplexedRotation(table.target, table.controls, table.angles, wires)
     gates = Circuit(layout, (0,) * len(dims), (table,)).gates
-    assert [cg.controls for cg in gates] == list(zip(wires, table.controls))
+    assert [cg.controls for cg in gates] == list(zip(wires, map(tuple, table.controls.tolist())))
     amps = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
                         layout.total_dimension)
     state = from_amplitudes(layout, amps)

@@ -97,9 +97,8 @@ def test_the_second_search_of_a_shape_checks_no_structure(monkeypatch, mode, a):
 
 
 STEP_ARRAYS = {
-    MultiplexedFlip: ("control", "parity", "targets", "flips", "wires"),
-    MultiplexedRotation: ("target", "controls", "sites", "digits", "angles", "wires",
-                          "wire_sites", "wire_digits"),
+    MultiplexedFlip: ("control", "parity", "wires"),
+    MultiplexedRotation: ("target", "controls", "angles", "wires"),
 }
 
 
@@ -137,7 +136,7 @@ def test_template_bound_steps_equal_the_checked_circuit(mode, data):
 
 
 def test_a_bound_table_still_passes_a_circuits_checks():
-    # a bound table handed to a hand-built circuit derives what its check reads
+    # a search's tables, handed to a hand-built circuit, pass its checks
     problem = SearchProblem(4, (3, 9, 12), 6)
     steps = build_circuit(problem).steps
     assert Circuit(problem.layout, (0,) * len(problem.layout.sites), steps).dump() == \
@@ -167,13 +166,24 @@ def test_a_nan_angle_is_rejected_when_bound(monkeypatch):
         build_circuit(SearchProblem(3, (2, 6), 5, Mode.PAPER))
 
 
+def _with_digit(pairs: np.ndarray, digit: int) -> np.ndarray:
+    # the template's first two pairs, the second read at ``digit``, as uint8
+    pairs = pairs[:2].astype(np.uint8)
+    pairs[1, 1] = digit
+    return pairs
+
+
 @pytest.mark.parametrize("digit", [2, 255])
 def test_an_out_of_range_digit_is_rejected_when_bound(digit):
-    template = SearchProblem(3, (2, 6), 5)._shape_template
-    digits = np.array([0, digit], dtype=np.uint8)
-    with pytest.raises(InvalidInputError, match="control digits must be 0 or 1"):
-        MultiplexedRotation._bound(template.target, template.copies[:2], digits,
-                                   template.signed[0, :2])
+    # a search reads its control digits off the template's checked pair
+    # table; any other digit on a copy qubit fails a circuit's check
+    problem = SearchProblem(3, (2, 6), 5)
+    template, site = problem._shape_template, problem._shape_template.controls[0, 1, 0]
+    table = MultiplexedRotation(template.target, _with_digit(template.controls[0], digit),
+                                template.signed[0, :2])
+    message = f"control digit {digit} out of range for site {site}"
+    with pytest.raises(InvalidInputError, match=message):
+        Circuit(problem.layout, (0,) * len(problem.layout.sites), (table,))
 
 
 def test_a_bad_value_below_the_full_template_is_rejected(monkeypatch):
@@ -193,11 +203,27 @@ def test_a_bad_value_below_the_full_template_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize("digit", [2, 255])
 def test_an_out_of_range_wire_digit_is_rejected_when_bound(digit):
-    template = SearchProblem(3, (2, 6), 5, Mode.FULL)._shape_template
-    digits, wires = np.zeros(2, dtype=np.uint8), np.array([0, digit], dtype=np.uint8)
-    with pytest.raises(InvalidInputError, match="control digits must be 0 or 1"):
-        MultiplexedRotation._bound(template.target, template.copies[:2], digits,
-                                   template.signed[0, :2], (template.wires[0, :2], wires))
+    problem = SearchProblem(3, (2, 6), 5, Mode.FULL)
+    template, site = problem._shape_template, problem._shape_template.references[0, 1, 0]
+    table = MultiplexedRotation(template.target, template.controls[0, :2], template.signed[0, :2],
+                                _with_digit(template.references[0], digit))
+    message = f"control digit {digit} out of range for site {site}"
+    with pytest.raises(InvalidInputError, match=message):
+        Circuit(problem.layout, (0,) * len(problem.layout.sites), (table,))
+
+
+def test_a_wide_template_checks_its_tables_in_array_form(monkeypatch):
+    # the tables' checks test every entry at once: a general (14, 512)
+    # template, with 7,168 flips, lists no more gates to check_gate_sites
+    # than a general (3, 4) one
+    calls, counts = {}, []
+    _counting(monkeypatch, state, "check_gate_sites", calls)
+    for n, m in ((3, 4), (14, 512)):
+        calls.clear()
+        builder._template.cache_clear()
+        builder._template(Mode.GENERAL, n, m)
+        counts.append(calls["check_gate_sites"])
+    assert counts[1] <= counts[0]
 
 
 def test_a_search_checks_its_shot_count_and_values_once(monkeypatch):
