@@ -46,6 +46,17 @@ in full mode it first writes its wire digits into that support's wire
 rows, which the superposition step does not touch. A hand-built
 :class:`Circuit` is checked step by step and runs from its basis state.
 
+Every other fact a shape fixes is also worked out once per shape, and
+each search reads it: the template holds that support's squared norm,
+which starts a search's running norm, the initial digits of a compiled
+mode's circuit, and the sites whose marginal
+:func:`~qnearest.measure.index_distribution` reads; :func:`_shape` holds
+:class:`SearchProblem`'s paper-mode and capacity checks, the layout's
+amplitude count (:meth:`SearchProblem.state_size`) and the bit shifts
+that split each value into its bits. So a search computes only what its
+values change: the bit table, the two tables' entries, and the kernel's
+work on them.
+
 In every mode the net rotation a branch holding value a accumulates against
 reference b is pi * (b - a) / 2^n: bit k (most significant first) carries
 weight pi / 2^(k+1), applied with positive sign where b's bit is high and
@@ -84,7 +95,7 @@ from .state import (
     squared_norm,
 )
 
-# Memo bound for layouts and circuit templates, kept by shape
+# Memo bound for layouts, shape checks and circuit templates, kept by shape
 # (mode, n, m), and for rotation schedules, kept by n. A layout holds a few
 # dozen small sites and a template a few small arrays, so a process cycling
 # over many shapes keeps them all.
@@ -104,9 +115,10 @@ class SearchProblem:
     All values are n-bit unsigned integers. A layout's flat indices are
     int64, so construction raises :class:`CapacityError` when
     :meth:`state_size` exceeds ``state.MAX_AMPLITUDES``, before the layout
-    or the bit table is built. A run itself stores only the state's
-    support, at most 2m amplitudes. The superposition gate checks its own
-    size when it is built (:func:`~qnearest.gates.fourier`).
+    or the bit table is built; that check is made once per shape
+    (:func:`_shape`). A run itself stores only the state's support, at
+    most 2m amplitudes. The superposition gate checks its own size when it
+    is built (:func:`~qnearest.gates.fourier`).
     """
 
     n: int
@@ -116,16 +128,13 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         n, a, b = validate_instance(self.a, self.b, self.n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mode", _mode(self.mode))
-        if self.mode is Mode.PAPER and self.m != 2:
-            raise InvalidInputError(f"paper mode requires exactly 2 elements, got {self.m}")
-        if self.n >= MAX_AMPLITUDES.bit_length():
-            # 2^n alone is past int64; state_size() would build a 2^n-bit integer
-            raise CapacityError(f"state needs over 2^{self.n} amplitudes; flat indices are int64")
-        _check_capacity(self.state_size())
+        mode = _mode(self.mode)
+        shifts = _shape(mode, n, len(a)).shifts
+        # b, then each a_j, read-only; int64 is exact since the shape check keeps n < 63
+        values = _read_only(np.array((b, *a), dtype=np.int64))
+        # row 0 holds b's bits and row j + 1 a_j's
+        bits = _read_only(((values[:, None] >> shifts) & 1).astype(np.uint8))
+        self.__dict__.update(n=n, a=a, b=b, mode=mode, _values=values, _bits=bits)
 
     @property
     def m(self) -> int:
@@ -146,31 +155,46 @@ class SearchProblem:
         # the problem's checked shape template, read once from the memo
         return _template(self.mode, self.n, self.m)
 
-    @cached_property
+    @property
     def bit_table(self) -> np.ndarray:
         """Read-only ``(m, n)`` 0/1 uint8 array of each element's bits, most
-        significant first, built on first use together with b's bits."""
+        significant first, built at construction together with b's bits."""
         return self._bits[1:]
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        # b, then each a_j, read-only; int64 is exact since construction keeps n < 63
-        return _read_only(np.asarray((self.b, *self.a), dtype=np.int64))
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        # row 0 holds b's bits and row j + 1 a_j's
-        bits = (self._values[:, None] >> np.arange(self.n - 1, -1, -1)) & 1
-        return _read_only(bits.astype(np.uint8))
 
     def state_size(self) -> int:
         """Amplitude count of this problem's layout, computed without allocating."""
-        size = (1 << self.n) * _index_dimension(self.m)
-        if self.mode is Mode.FULL:
-            size <<= self.n * (self.m + 1)
-        if uses_score(self):
-            size <<= 1
-        return size
+        return _shape(self.mode, self.n, self.m).size
+
+
+class _Shape(NamedTuple):
+    """What construction reads off a shape; see :func:`_shape`."""
+
+    size: int
+    shifts: np.ndarray
+
+
+@lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _shape(mode: Mode, n: int, m: int) -> _Shape:
+    """A shape's checks and facts for :class:`SearchProblem`, made once per shape.
+
+    Raises :class:`InvalidInputError` for paper mode without exactly two
+    elements, and :class:`CapacityError` for a layout past
+    ``state.MAX_AMPLITUDES`` amplitudes. Returns the layout's amplitude
+    count, computed without building it, and the read-only bit shifts
+    ``n - 1, ..., 0`` of an n-bit value, most significant first.
+    """
+    if mode is Mode.PAPER and m != 2:
+        raise InvalidInputError(f"paper mode requires exactly 2 elements, got {m}")
+    if n >= MAX_AMPLITUDES.bit_length():
+        # 2^n alone is past int64; the size below would be a 2^n-bit integer
+        raise CapacityError(f"state needs over 2^{n} amplitudes; flat indices are int64")
+    size = (1 << n) * _index_dimension(m)
+    if mode is Mode.FULL:
+        size <<= n * (m + 1)
+    if _scored(mode, m):
+        size <<= 1
+    _check_capacity(size)
+    return _Shape(size, _read_only(np.arange(n - 1, -1, -1)))
 
 
 def validate_instance(a: Sequence[int], b: int, n: int) -> tuple[int, tuple[int, ...], int]:
@@ -257,8 +281,9 @@ class Circuit:
     layout: RegisterLayout
     initial_digits: tuple[int, ...]
     steps: tuple[CircuitGate | MultiplexedFlip | MultiplexedRotation, ...]
-    # set only on a template-bound circuit: the state after its superposition
-    # step and the steps left to run from it
+    # set only on a template-bound circuit: apply_gates' arguments, the state
+    # after its superposition step, the steps left to run from it and that
+    # state's squared norm
     _resume = None
 
     def __post_init__(self) -> None:
@@ -407,7 +432,8 @@ def _comparison_stage(problem: SearchProblem) -> tuple[MultiplexedRotation, ...]
 
 
 class _Template(NamedTuple):
-    """What a circuit's shape fixes; see :func:`_template`."""
+    """What a circuit's shape fixes: its checked structure, its superposed
+    start and every fact a search reads off the shape; see :func:`_template`."""
 
     layout: RegisterLayout
     superposition: tuple[CircuitGate, ...]
@@ -420,7 +446,10 @@ class _Template(NamedTuple):
     references: np.ndarray | None
     wires: np.ndarray | None
     flip_wires: np.ndarray | None
+    marginal: tuple[int, ...]
     start: StateVector
+    norm: float
+    initial_digits: tuple[int, ...]
 
 
 @lru_cache(maxsize=LAYOUT_MEMO_SIZE)
@@ -447,10 +476,15 @@ def _template(mode: Mode, n: int, m: int) -> _Template:
     tables have a subset of those rows and entries, so a search's tables
     are built through their constructors, which check only values.
 
-    It also holds ``start``, the support after the superposition step from
-    the all-zero basis state, computed once through
-    :func:`~qnearest.state.apply_gates` with its norm check, from which a
-    search runs its two tables.
+    It also holds ``marginal``, the sites whose marginal
+    :func:`~qnearest.measure.index_distribution` reads: the index, then the
+    score qubit when the shape has one. And it holds ``start``, the support
+    after the superposition step from the all-zero basis state, computed
+    once through :func:`~qnearest.state.apply_gates` with its norm check,
+    from which a search runs its two tables; ``norm``, the squared norm of
+    ``start``, which starts a search's running norm; and
+    ``initial_digits``, the all-zero digits the template checked, the
+    circuit's initial digits in the compiled modes.
     """
     layout = _shared_layout(mode, n, m)
     index = layout.single(Role.INDEX)
@@ -474,8 +508,10 @@ def _template(mode: Mode, n: int, m: int) -> _Template:
     superposition, flip = _superposition(layout, m), MultiplexedFlip(index, parity, flip_wires)
     checked = Circuit(layout, (0,) * len(layout.sites), superposition + (flip, *widest))
     start = apply_gates(_basis_state(layout, checked.initial_digits), superposition, 1.0)
+    marginal = (index, target) if target != index else (index,)
     return _Template(layout, superposition, index, parity.shape, copies, target,
-                     _read_only(signed), controls, references, wires, flip.wires, start)
+                     _read_only(signed), controls, references, wires, flip.wires, marginal,
+                     start, squared_norm(start.values), checked.initial_digits)
 
 
 def _pair_table(sites: np.ndarray, digits: tuple[int, int]) -> np.ndarray:
@@ -491,19 +527,22 @@ def _circuit(problem: SearchProblem, stages: Sequence) -> Circuit:
     and it runs from the template's superposed support. In full mode the
     problem's bits, already checked, are written into the wire rows of that
     support; the superposition step touches only the index site, so this
-    start is exact. The initial digits are the support's first column.
+    start is exact, and the initial digits are its first column, the
+    template's with the wire digits written in. The start keeps the
+    template's amplitudes, so the template's squared norm starts the
+    running norm.
     """
     template = _instance(problem, SearchProblem, "problem")._shape_template
     tables = tuple(step for stage in stages for step in stage(problem))
-    start = template.start
+    start, initial_digits = template.start, template.initial_digits
     if template.wires is not None:
         digits = start.digits.copy()
         digits[template.wires] = problem._bits[..., None]
         start = _frozen(template.layout, digits, start.values)
-    # the support's first column is the basis state's: index digit 0
-    initial_digits = tuple(start.digits[:, 0].tolist())
+        # the support's first column is the basis state's: index digit 0
+        initial_digits = tuple(digits[:, 0].tolist())
     return _bind(Circuit, layout=template.layout, initial_digits=initial_digits,
-                 steps=template.superposition + tables, _resume=(start, tables))
+                 steps=template.superposition + tables, _resume=(start, tables, template.norm))
 
 
 def build_circuit(problem: SearchProblem) -> Circuit:
@@ -522,13 +561,12 @@ def execute_circuit(circuit: Circuit) -> StateVector:
 
     A circuit that :func:`build_circuit` bound to its shape's template runs
     only its two tables, from the template's support after the
-    superposition step (see :func:`_circuit`), whose measured squared norm
-    starts the running norm.
+    superposition step (see :func:`_circuit`), whose squared norm, measured
+    once per shape, starts the running norm.
     """
     if _instance(circuit, Circuit, "circuit")._resume is None:
         return apply_gates(_basis_state(circuit.layout, circuit.initial_digits), circuit.steps, 1.0)
-    start, tables = circuit._resume
-    return apply_gates(start, tables, squared_norm(start.values))
+    return apply_gates(*circuit._resume)
 
 
 def load_superposition(problem: SearchProblem) -> StateVector:

@@ -7,8 +7,8 @@ give byte-identical stdout. Timing goes to stderr to keep it that way.
 Exit codes: 0 success, 1 invalid input, 2 internal numeric error (norm
 drift, or the example check failing), 3 a size limit is exceeded: the
 layout needs more amplitudes than int64 flat indices reach (a huge bit
-width included), or a dense gate more than ``gates.MAX_MATRIX_ENTRIES``
-matrix entries.
+width included), a dense gate more than ``gates.MAX_MATRIX_ENTRIES``
+matrix entries, or the process runs out of memory (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .builder import Mode, SearchProblem, _mode, run
-from .errors import CapacityError, InvalidInputError, NormDriftError
+from .errors import CapacityError, InvalidInputError, NormDriftError, _integer
 from .measure import ShotCounts, _sample, check_shots, decide, index_distribution
 from .oracle import OracleReport, _nearest, agreement_sweep, sweep_table
 
@@ -42,6 +42,7 @@ EXIT_CODES = {
     InvalidInputError: EXIT_INVALID_INPUT,
     NormDriftError: EXIT_NUMERIC,
     CapacityError: EXIT_CAPACITY,
+    MemoryError: EXIT_CAPACITY,
 }
 
 
@@ -86,21 +87,21 @@ class SearchResponse:
 def run_search(request: SearchRequest) -> SearchResponse:
     """Full pipeline for one request; the API behind the ``search`` command.
 
-    Each input is checked once: the shot count up front, so a bad one fails
-    before the search runs, and n, a and b by :class:`SearchProblem`, whose
-    checked values the classical scan reads.
+    Each input is checked once: the shot count and the seed up front, so a
+    bad one fails before the search runs, and n, a and b by
+    :class:`SearchProblem`, whose checked values the classical scan reads.
     """
     if request.shots is not None:
         check_shots(request.shots)
+        seed = _integer(request.seed if request.seed is not None else 0, "seed")
     started = time.perf_counter()
     problem = SearchProblem(request.n, request.a, request.b, request.mode)
     dist = index_distribution(run(problem), problem)
     chosen, is_tie = decide(dist)
-    report = _nearest(problem)
-    report = replace(report, agreement=chosen in report.tied_indices)
+    report = _nearest(problem, chosen)
     counts = None
     if request.shots is not None:
-        counts = _sample(dist, request.shots, request.seed if request.seed is not None else 0)
+        counts = _sample(dist, request.shots, seed)
     return SearchResponse(
         request=request,
         probabilities=dist.probabilities,
@@ -322,7 +323,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -7,9 +7,9 @@ from numbers import Real
 
 import numpy as np
 
-from .builder import Mode, SearchProblem, _mode, uses_score
+from .builder import Mode, SearchProblem, _mode
 from .errors import InvalidInputError, _instance, _integer
-from .state import Role, StateVector, _bind, marginal_probabilities
+from .state import StateVector, _bind, marginal_probabilities
 
 PROBABILITY_SUM_TOLERANCE = 1e-10
 TIE_TOLERANCE = 1e-9
@@ -86,17 +86,17 @@ def index_distribution(state: StateVector, problem: SearchProblem) -> IndexDistr
     """Exact index distribution of a final state.
 
     Modes whose rotations target the index qubit read its marginal directly;
-    score-qubit modes condition the index marginal on score = 0. The
-    distribution is built from the marginal's array, checked in array form.
+    score-qubit modes condition the index marginal on score = 0. The sites
+    are read off the problem's shape template. The distribution is built
+    from the marginal's array, checked in array form.
     """
-    layout = _instance(problem, SearchProblem, "problem").layout
-    if _instance(state, StateVector, "state").layout != layout:
+    template = _instance(problem, SearchProblem, "problem")._shape_template
+    if _instance(state, StateVector, "state").layout != template.layout:
         raise InvalidInputError("state layout does not match the problem")
-    index = layout.single(Role.INDEX)
-    if not uses_score(problem):
-        cells = marginal_probabilities(state, (index,))
+    cells = marginal_probabilities(state, template.marginal)
+    if cells.ndim == 1:  # no score qubit
         return IndexDistribution._from_array(cells[: problem.m], 1.0, problem.mode)
-    cells = marginal_probabilities(state, (index, layout.single(Role.SCORE)))[:, 0]
+    cells = cells[:, 0]
     # Python's left-to-right float sum: NumPy's pairwise sum can round differently
     keep = sum(cells.tolist())
     return IndexDistribution._from_array(cells[: problem.m] / keep, keep, problem.mode)
@@ -129,12 +129,13 @@ def sample(dist: IndexDistribution, shots: int, seed: int = 0) -> ShotCounts:
     that NumPy's draws reject.
     """
     check_shots(shots)
-    return _sample(_instance(dist, IndexDistribution, "distribution"), shots, seed)
+    return _sample(_instance(dist, IndexDistribution, "distribution"), shots,
+                   _integer(seed, "seed"))
 
 
 def _sample(dist: IndexDistribution, shots: int, seed: int) -> ShotCounts:
-    """:func:`sample` for a caller that has run :func:`check_shots` itself."""
-    seed = _integer(seed, "seed")
+    """:func:`sample` for a caller that has run :func:`check_shots` itself
+    and passes the seed as an int."""
     rng = np.random.default_rng(seed % (1 << 64))
     accepted = int(rng.binomial(shots, min(dist.postselect_probability, 1.0)))
     probs = np.clip(dist.probabilities, 0.0, None)

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import Mode, SearchProblem, run, validate_instance
+from .builder import Mode, SearchProblem, _index_dimension, _shape, run, validate_instance
 from .errors import InvalidInputError, _integer, _integers
+from .gates import _matrix_dimension
 from .measure import IndexDistribution, decide, index_distribution
 
 
@@ -43,17 +44,18 @@ def classical_nearest(a: Sequence[int], b: int) -> OracleReport:
     return _scan(np.array(values, dtype=object), _integer(b, "b ="))
 
 
-def _nearest(problem: SearchProblem) -> OracleReport:
+def _nearest(problem: SearchProblem, chosen: int | None = None) -> OracleReport:
     """:func:`classical_nearest` of a problem's values, which construction
-    has checked: scanned as int64, exact since construction keeps n < 63."""
-    return _scan(problem._values[1:], problem.b)
+    has checked: scanned as int64, exact since construction keeps n < 63.
+    Given a ``chosen`` index, ``agreement`` says whether it is a nearest one."""
+    return _scan(problem._values[1:], problem.b, chosen)
 
 
-def _scan(values: np.ndarray, b: int) -> OracleReport:
+def _scan(values: np.ndarray, b: int, chosen: int | None = None) -> OracleReport:
     distances = np.abs(values - b)
     best = distances.min()
-    tied = tuple(np.flatnonzero(distances == best).tolist())
-    return OracleReport(tied[0], int(best), tied)
+    tied = tuple((distances == best).nonzero()[0].tolist())
+    return OracleReport(tied[0], int(best), tied, None if chosen is None else chosen in tied)
 
 
 def _cos2_half_angles(n: int, values: tuple[int, ...], b: int) -> list[float]:
@@ -121,7 +123,10 @@ def agreement_sweep(
     """Random-instance agreement between the simulator's decision and the scan.
 
     Runs the general pipeline on every cell and the paper pipeline where
-    m = 2, ``count`` instances per (n, m) cell, reproducibly seeded.
+    m = 2, ``count`` instances per (n, m) cell, reproducibly seeded. The
+    largest cell's limits are checked before any cell runs: a layout and a
+    superposition gate only grow with n and m, so a grid past either limit
+    raises :class:`CapacityError` at once.
     """
     max_bits, max_m = _integers((max_bits, max_m), "sweep bound")
     count = _integer(count, "instance count")
@@ -129,6 +134,8 @@ def agreement_sweep(
         raise InvalidInputError("sweep bounds must be >= 1")
     if count < 1:
         raise InvalidInputError(f"instance count must be >= 1, got {count}")
+    _shape(Mode.GENERAL, max_bits, max_m)
+    _matrix_dimension(_index_dimension(max_m))
     rng = np.random.default_rng(_integer(seed, "seed") % (1 << 64))
     rows = []
     for n in range(1, max_bits + 1):

@@ -405,7 +405,9 @@ class MultiplexedFlip:
             wires = None if self.wires is None else _read_only(np.array(self.wires))
         except (TypeError, ValueError) as err:  # ragged rows
             raise InvalidInputError(f"multiplexed flip: malformed table: {err}") from None
-        if not ((parity == 0) | (parity == 1)).all():
+        # a bool or unsigned table holds no entry below 0, so its max tells
+        if not (parity.max(initial=0) <= 1 if parity.dtype.kind in "bu"
+                else ((parity == 0) | (parity == 1)).all()):
             raise InvalidInputError("multiplexed flip: parity table entries must be 0 or 1")
         object.__setattr__(self, "parity", _read_only(parity.astype(np.uint8, copy=False)))
         object.__setattr__(self, "wires", wires)
@@ -612,7 +614,7 @@ def _unfibred(keys: np.ndarray, fibres: np.ndarray, target: int):
     in row-major order: entry p of the ``(d, columns)`` grid is target digit
     ``p // columns`` on column ``p % columns``'s key."""
     values = fibres.reshape(-1)
-    keep = np.flatnonzero(values)
+    keep = values.nonzero()[0]
     digit, column = np.divmod(keep, fibres.shape[1])
     digits = keys.take(column, axis=1)
     digits[target] = digit

@@ -499,6 +499,10 @@ def test_circuit_accepts_a_well_formed_flip_table():
         (lambda: _flip_table(3, 2, [(1, 0), (1, 3)]), "site 3 used more than once"),
         (lambda: _flip_table(3, 2, [(1, 2)]), "target site 2 has dimension 3"),
         (lambda: _flip_table(2, 3, [(1, 0)], value=2), "entries must be 0 or 1"),
+        (lambda: MultiplexedFlip(2, np.full((3, 4), 255, dtype=np.uint8)),
+         "entries must be 0 or 1"),
+        (lambda: MultiplexedFlip(2, np.full((3, 4), 2**64 - 1, dtype=np.uint64)),
+         "entries must be 0 or 1"),
         (lambda: _flip_table(2, 2, [(1, 0)]), r"shape \(2, 4\), expected \(3, 4\)"),
         (lambda: MultiplexedFlip(2, np.zeros((3, 3), dtype=np.int64)), r"expected \(3, 4\)"),
         (lambda: _wired_flip_table(1), "wire site 1 is also flipped"),
@@ -514,6 +518,7 @@ def test_circuit_accepts_a_well_formed_flip_table():
          r"wire table must hold sites or -1"),
     ],
     ids=["control-out-of-range", "target-on-control", "non-qubit-target", "entry-not-0-or-1",
+         "entry-255-uint8", "entry-max-uint64",
          "wrong-row-count", "wrong-column-count", "wire-on-a-flipped-site", "wire-on-the-control",
          "wire-on-the-target", "wire-missing", "wire-table-shape", "wire-past-the-sites",
          "wire-table-floats"],
@@ -532,6 +537,16 @@ def test_a_flip_table_is_a_read_only_copy():
     parity[0, 0] = 1
     assert not flip.parity.any()
     assert not flip.parity.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64, np.int8, np.float64])
+def test_a_zero_one_flip_table_of_any_numeric_dtype_is_accepted(dtype):
+    # a bool or unsigned table is checked by its max, any other entry by entry
+    ones = np.zeros((3, 4), dtype=np.int64)
+    ones[1, 0] = ones[2, 1] = 1
+    flip = MultiplexedFlip(2, ones.astype(dtype))
+    assert flip.parity.dtype == np.uint8 and np.array_equal(flip.parity, ones)
+    assert MultiplexedFlip(2, np.zeros((0, 4), dtype=dtype)).parity.shape == (0, 4)
 
 
 def _walk_message(table, dims) -> str | None:

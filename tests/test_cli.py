@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given
 
 import qnearest
-from qnearest.cli import main, parse_request_document
+from qnearest import IndexDistribution, Mode, sample
+from qnearest.cli import SearchRequest, main, parse_request_document, run_search
 from qnearest.errors import InvalidInputError, NormDriftError
 
 from test_builder import GENERAL_P, PAPER_P
@@ -267,6 +268,48 @@ def test_billions_of_shots_finish_quickly(capsys):
     doc = parse_request_document(out)
     kept = sum(int(pair.split(":")[1]) for pair in doc["counts"].split(","))
     assert kept + int(doc["rejected"]) == 3_000_000_000
+
+
+def test_a_bad_seed_fails_before_the_search_runs(monkeypatch):
+    # the seed used to be checked by the sampler, after the whole search
+    ran = []
+    monkeypatch.setattr("qnearest.cli.run", ran.append)
+    with pytest.raises(InvalidInputError, match="seed 1.5 is not an integer"):
+        run_search(SearchRequest(3, 5, (2, 6), shots=10, seed=1.5))
+    assert ran == []
+
+
+@pytest.mark.parametrize("seed", [None, 7, np.int64(-3)])
+def test_a_search_samples_as_the_public_sampler_does(seed):
+    resp = run_search(SearchRequest(3, 5, (2, 6, 5, 0), shots=10_000, seed=seed))
+    dist = IndexDistribution(resp.probabilities, resp.postselect_probability, Mode.GENERAL)
+    assert resp.counts == sample(dist, 10_000, 0 if seed is None else seed)
+
+
+@pytest.mark.parametrize("message, line", [((), "MemoryError"),
+                                           (("Unable to allocate 8.00 GiB",),
+                                            "Unable to allocate 8.00 GiB")])
+def test_running_out_of_memory_exits_three(capsys, monkeypatch, message, line):
+    def exhaust(request):
+        raise MemoryError(*message)
+
+    monkeypatch.setattr("qnearest.cli.run_search", exhaust)
+    code, out, err = run_cli(capsys, "search", "--bits", "3", "--target", "5", "--array", "2,6")
+    assert (code, out, err) == (3, "", f"error: {line}\n")
+
+
+def test_a_sweep_past_the_gate_limit_exits_three_at_once():
+    # it used to build a dense Fourier gate for every m up to 8,192 first,
+    # and was still running after 10 s
+    src = str(Path(qnearest.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnearest", "sweep", "--max-bits", "1", "--max-m", "100000",
+         "--count", "1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_numeric_failures_exit_two(capsys, monkeypatch):

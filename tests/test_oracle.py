@@ -18,7 +18,8 @@ from qnearest import (
     run,
     sweep_table,
 )
-from qnearest.errors import InvalidInputError
+import qnearest.oracle as oracle
+from qnearest.errors import CapacityError, InvalidInputError
 
 from test_builder import GENERAL_P, GENERAL_POSTSELECT, PAPER_P
 
@@ -207,6 +208,20 @@ def test_sweep_validates_bounds():
         agreement_sweep(2, 2, 0)
     with pytest.raises(InvalidInputError):
         agreement_sweep(0, 2, 5)
+
+
+@pytest.mark.parametrize("max_bits, max_m, message", [
+    (62, 2, "int64 flat indices stop at"),  # general (62, 2) holds 2^64 amplitudes
+    (1, 8193, "67125249 matrix entries"),
+])
+def test_a_sweep_checks_its_largest_cell_before_it_runs_any(monkeypatch, max_bits, max_m,
+                                                            message):
+    # both limits grow with n and m, so the largest cell bounds the grid
+    ran = []
+    monkeypatch.setattr(oracle, "_pipeline_decision", lambda *args: ran.append(args))
+    with pytest.raises(CapacityError, match=message):
+        agreement_sweep(max_bits, max_m, 1)
+    assert ran == []
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
          "bit width n = 4; branch weight = single-element keep probability"),
         ("reference_example.py", (), "instance: n=3 bits, reference 5, array [2, 6]"),
         ("code_lines.py", (), "module,lines,code_lines"),
+        ("search_cost.py", ("--bits", "3", "--m", "4", "--count", "5", "--repeat", "1"),
+         "mode,n,m,stage,best_us_per_search"),
     ],
 )
 def test_a_script_runs_and_prints_its_header(script, args, header):

@@ -24,6 +24,7 @@ from qnearest import (
     Mode,
     MultiplexedFlip,
     MultiplexedRotation,
+    RegisterLayout,
     Role,
     SearchProblem,
     build_circuit,
@@ -94,6 +95,39 @@ def test_the_second_search_of_a_shape_checks_no_structure(monkeypatch, mode, a):
     calls.clear()
     run_search(SearchRequest(3, 1, a[::-1], mode))
     assert calls == {}
+
+
+@pytest.mark.parametrize("mode, a", [(Mode.PAPER, (2, 6)), (Mode.GENERAL, (2, 6, 5)),
+                                     (Mode.FULL, (2, 6, 5))])
+def test_the_second_search_of_a_shape_recomputes_no_shape_fact(monkeypatch, mode, a):
+    # the capacity check, the start's squared norm and the index and score
+    # sites are worked out once per shape, not once per search
+    calls = {}
+    _counting(monkeypatch, builder, "_check_capacity", calls)
+    _counting(monkeypatch, builder, "squared_norm", calls)
+    _counting(monkeypatch, RegisterLayout, "single", calls)
+    builder._shape.cache_clear()
+    builder._template.cache_clear()
+    run_search(SearchRequest(3, 5, a, mode))
+    assert calls.keys() == {"_check_capacity", "squared_norm", "single"}
+    calls.clear()
+    run_search(SearchRequest(3, 1, a[::-1], mode))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(data=st.data())
+def test_a_problem_holds_its_values_and_bits_read_only(mode, data):
+    max_bits, min_m, max_m = {Mode.PAPER: (20, 2, 2), Mode.GENERAL: (20, 1, 12),
+                              Mode.FULL: (3, 1, 4)}[mode]
+    n, a, b = data.draw(instances(max_bits=max_bits, min_m=min_m, max_m=max_m))
+    problem = SearchProblem(n, a, b, mode)
+    by_hand = [[(v >> (n - 1 - k)) & 1 for k in range(n)] for v in (b, *a)]
+    for name, dtype, expected in (("_values", np.int64, [b, *a]), ("_bits", np.uint8, by_hand),
+                                  ("bit_table", np.uint8, by_hand[1:])):
+        array = getattr(problem, name)
+        assert array.dtype == dtype and not array.flags.writeable, name
+        assert array.tolist() == expected, name
 
 
 STEP_ARRAYS = {
